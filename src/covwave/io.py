@@ -63,16 +63,15 @@ def read_spectrum(path: str | Path) -> GridFunction:
 
 
 def write_signal(path: str | Path, f: GridFunction) -> None:
-    """Write samples as u,re,im,abs rows."""
+    """Write samples as u,re,im,abs rows.
+
+    The bytes are those of ``csv.writer``: ``repr`` cells and CRLF line ends.
+    The rows are built as one string and written at once, and the modulus is
+    Python's ``abs`` of each complex sample.
+    """
+    rows = "".join(
+        f"{u!r},{z.real!r},{z.imag!r},{abs(z)!r}\r\n"
+        for u, z in zip(f.grid.nodes.tolist(), f.values.tolist())
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "re", "im", "abs"])
-        for u, v in zip(f.grid.nodes, f.values):
-            writer.writerow(
-                [
-                    repr(float(u)),
-                    repr(float(v.real)),
-                    repr(float(v.imag)),
-                    repr(float(abs(v))),
-                ]
-            )
+        fh.write("u,re,im,abs\r\n" + rows)

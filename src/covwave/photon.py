@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance import Boost
 from .numerics import DataError, Grid, GridFunction, integrate
-from .spectral import SpectralFunction, WaveletSignal
+from .spectral import SpectralFunction, WaveletSignal, _oscillatory_sum
 
 __all__ = [
     "PhotonAmplitude",
@@ -111,8 +111,6 @@ def synthesize_photon_field(a: PhotonAmplitude, u_grid: Grid) -> WaveletSignal:
     Reuses the spectral synthesis kernel on the effective integrand
     a(k) / sqrt(2 pi k) so that the bridge identity holds node for node.
     """
-    from .spectral import _oscillatory_sum
-
     effective = a.data.values / np.sqrt(2.0 * np.pi * a.grid.nodes)
-    values = _oscillatory_sum(GridFunction(a.grid, effective), u_grid.nodes)
+    values = _oscillatory_sum(GridFunction(a.grid, effective), u_grid)
     return WaveletSignal(GridFunction(u_grid, values), a.mean_momentum)

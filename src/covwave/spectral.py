@@ -13,6 +13,7 @@ boosts; see the covariance module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,10 +30,6 @@ __all__ = [
     "synthesize",
     "edge_leakage",
 ]
-
-#: synthesis matrix is built in row blocks of this many u nodes to bound memory
-_BLOCK_ROWS = 512
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralFunction:
@@ -163,15 +160,49 @@ def mean_momentum(g: SpectralFunction) -> float:
     return p
 
 
-def _oscillatory_sum(data: GridFunction, u: np.ndarray) -> np.ndarray:
-    """Quadrature of g(k) exp(i k u) over k for every u, in row blocks."""
-    k = data.grid.nodes
-    coeff = data.grid.weights * data.values
-    out = np.empty(u.shape, dtype=np.complex128)
-    for start in range(0, u.size, _BLOCK_ROWS):
-        blk = u[start : start + _BLOCK_ROWS]
-        out[start : start + _BLOCK_ROWS] = np.exp(1j * np.outer(blk, k)) @ coeff
-    return out
+def _phase(x: float, y: float, ints: np.ndarray) -> np.ndarray:
+    """exp(i x y n) for floats x, y and non-negative integers n, correct to
+    rounding even where x y n runs to thousands of radians.
+
+    The product x y is taken exactly.  A Veltkamp split leaves its leading
+    part with few enough bits that the product with every n is exact, and
+    only the small remainder's product rounds.
+    """
+    exact = Fraction(x) * Fraction(y)
+    c = (2.0 ** int(ints.max()).bit_length() + 1.0) * float(exact)
+    lead = c - (c - float(exact))
+    rest = float(exact - Fraction(lead))
+    return np.exp(1j * (lead * ints)) * np.exp(1j * (rest * ints))
+
+
+def _oscillatory_sum(data: GridFunction, u: Grid) -> np.ndarray:
+    """Quadrature sum_j w_j g(k_j) exp(i k_j u_m) at every node u_m of u.
+
+    With k_j = k0 + j dk, u_m = u0 + m du and a = dk du, the identity
+    jm = (j**2 + m**2 - (m - j)**2) / 2 turns the sum into one chirp
+    convolution (Bluestein's chirp-z transform), done by FFT in
+    O((N_k + N_u) log(N_k + N_u)).  Both grids must be uniform, which the
+    Grid type guarantees.
+    """
+    k = data.grid
+    n = np.arange(max(k.count, u.count))
+    chirp = _phase(-0.5 * k.spacing, u.spacing, n * n)  # exp(-i a n**2 / 2)
+    # smallest power of two that holds the linear convolution of both lengths
+    size = 1 << (k.count + u.count - 2).bit_length()
+
+    pre = (
+        k.weights
+        * data.values
+        * _phase(k.spacing, u.lower, n[: k.count])
+        * chirp[: k.count].conj()
+    )
+    # the chirp at n in [-(N_k - 1), N_u - 1], negative n wrapped to the end
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[: u.count] = chirp[: u.count]
+    kernel[size - k.count + 1 :] = chirp[k.count - 1 : 0 : -1]
+
+    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kernel))[: u.count]
+    return np.exp(1j * (k.lower * u.nodes)) * chirp[: u.count].conj() * conv
 
 
 def synthesize(
@@ -198,7 +229,7 @@ def synthesize(
             raise ValueError("momentum applies only to wavelet mode")
         p = 1.0
         prefactor = 1.0 / np.sqrt(2.0 * np.pi)
-    values = prefactor * _oscillatory_sum(g.data, u_grid.nodes)
+    values = prefactor * _oscillatory_sum(g.data, u_grid)
     return WaveletSignal(GridFunction(u_grid, values), p)
 
 

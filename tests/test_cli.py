@@ -1,5 +1,7 @@
+import configparser
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ u_lower = -40.0
 u_upper = 40.0
 u_count = 512
 """
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.ini"):
@@ -274,6 +279,15 @@ def test_eta_flag_overrides_config(tmp_path):
     assert [r["eta"] for r in rows] == [-0.25]
 
 
+def test_negative_eta_list_needs_equals_form(tmp_path):
+    # argparse reads "--eta -1.5,0.5" as a flag; "--eta=-1.5,0.5" passes the value
+    cfg = write_config(tmp_path)
+    out = tmp_path / "report.csv"
+    assert run_cli(["boost", "--config", cfg, "--out", str(out), "--eta=-1.5,0.5"]) == 0
+    rows = read_report(out)
+    assert [r["eta"] for r in rows] == [-1.5, 0.5]
+
+
 def test_window_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "report.csv"
@@ -328,3 +342,21 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(CONFIG_DIR.glob("*.ini")) if "[output]" in p.read_text()],
+    ids=lambda p: p.name,
+)
+def test_shipped_config_resolves_every_frame(path):
+    # the signal of frame eta holds momenta up to e^eta k_max, which the u-grid
+    # resolves only while du * e^eta * k_max <= pi
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    out = cp["output"]
+    u_range = out.getfloat("u_upper") - out.getfloat("u_lower")
+    du = u_range / (out.getint("u_count") - 1)
+    k_max = cp["spectral"].getfloat("grid_upper")
+    for eta in (float(e) for e in cp["boosts"]["eta"].split(",")):
+        assert du * np.exp(eta) * k_max <= np.pi, f"eta={eta}"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,28 @@ def test_signal_file_carries_modulus_column(tmp_path):
     assert lines[0].split(",") == ["u", "re", "im", "abs"]
     last = lines[-1].split(",")
     assert float(last[3]) == pytest.approx(5.0)
+
+
+def reference_signal_bytes(path, f):
+    """The signal file as csv.writer writes it, modulus from numpy's scalar abs."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["u", "re", "im", "abs"])
+        for u, v in zip(f.grid.nodes, f.values):
+            cells = (float(u), float(v.real), float(v.imag), float(abs(v)))
+            writer.writerow([repr(c) for c in cells])
+    return path.read_bytes()
+
+
+def test_signal_file_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 4096
+    scale = 10.0 ** rng.uniform(-320, 300, size=(2, n))
+    values = scale[0] * rng.standard_normal(n) + 1j * scale[1] * rng.standard_normal(n)
+    values[:6] = [-0.0 + 0.0j, complex(0.0, -0.0), 5e-324 - 2.5e-320j,
+                  1e300 + 1e300j, -1.7e308 + 3e-310j, 1 / 3 - 2j / 3]
+    f = GridFunction(Grid(-37.5, 41.25, n), values)
+    write_signal(tmp_path / "fast.csv", f)
+    assert (tmp_path / "fast.csv").read_bytes() == reference_signal_bytes(
+        tmp_path / "ref.csv", f
+    )

@@ -6,6 +6,7 @@ from covwave.numerics import DataError, Grid, GridFunction, integrate
 from covwave.spectral import (
     SpectralFunction,
     WaveletSignal,
+    _oscillatory_sum,
     edge_leakage,
     flat_spectrum,
     gaussian_spectrum,
@@ -113,6 +114,8 @@ def test_mean_momentum_rejects_zero_norm():
 
 # --- synthesis ---------------------------------------------------------------
 
+# k-grid of the acceptance suite: 4001 nodes, not a power of two
+ALIGNED_K_GRID = Grid(0.1025, 20.1025, 4001)
 U_GRID = Grid(-10.0, 10.0, 2001)  # spacing 0.01 puts nodes exactly at 0 and 2
 
 
@@ -203,3 +206,63 @@ def test_wavelet_signal_requires_positive_momentum():
     data = GridFunction(Grid(0.0, 1.0, 4), np.ones(4))
     with pytest.raises(ValueError):
         WaveletSignal(data, 0.0)
+
+
+# --- synthesis kernel ----------------------------------------------------------
+
+
+def direct_sum(data, u_nodes):
+    """The quadrature sum_j w_j g(k_j) exp(i k_j u) by dense evaluation."""
+    return np.exp(1j * np.outer(u_nodes, data.grid.nodes)) @ (
+        data.grid.weights * data.values
+    )
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+@pytest.mark.parametrize("eta", [-1.5, 0.0, 1.5])
+def test_kernel_matches_direct_sum_at_large_n(n, eta):
+    # the chirp phases a n**2 / 2 reach thousands of radians at these sizes;
+    # an inexact phase would show as an error growing like eps * dk * du * N**2
+    g = boost_spectral(gaussian_spectrum(Grid(0.1, 20.0, n), 5.0, 0.5), Boost(eta))
+    u = Grid(-40.0, 40.0, n)
+    rows = np.arange(0, n, 64)
+    fast = _oscillatory_sum(g.data, u)
+    ref = direct_sum(g.data, u.nodes[rows])
+    assert np.abs(fast[rows] - ref).max() <= 1e-12 * np.abs(fast).max()
+
+
+@pytest.mark.parametrize(
+    "k_grid, u_grid",
+    [
+        (ALIGNED_K_GRID, Grid(-30.0, 30.0, 777)),
+        (Grid(0.1, 20.0, 300), Grid(-30.0, 30.0, 1001)),
+        (Grid(1.0, 9.0, 2), Grid(-3.0, 3.0, 777)),
+        (Grid(1.0, 9.0, 777), Grid(-3.0, 3.0, 2)),
+        (Grid(1.0, 9.0, 2), Grid(-3.0, 3.0, 2)),
+        (Grid(0.1, 20.0, 1024), Grid(2.0, 14.0, 300)),  # u-grid away from 0
+    ],
+    ids=["4001x777", "300x1001", "2x777", "777x2", "2x2", "offset-u"],
+)
+def test_kernel_matches_direct_sum_on_any_shape(k_grid, u_grid):
+    g = gaussian_spectrum(k_grid, 5.0, 0.5)
+    ref = direct_sum(g.data, u_grid.nodes)
+    fast = _oscillatory_sum(g.data, u_grid)
+    assert fast.shape == (u_grid.count,)
+    assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_kernel_matches_scipy_chirp_z():
+    signal = pytest.importorskip("scipy.signal")
+    g = gaussian_spectrum(ALIGNED_K_GRID, 5.0, 0.5)
+    k, u = g.grid, Grid(-30.0, 30.0, 777)
+    # sum_j c_j exp(i k_j u_m) = exp(i k0 u_m) * sum_j c_j A**-j W**(j m)
+    czt = signal.czt(
+        k.weights * g.data.values,
+        u.count,
+        w=np.exp(1j * k.spacing * u.spacing),
+        a=np.exp(-1j * k.spacing * u.lower),
+    )
+    ref = np.exp(1j * k.lower * u.nodes) * czt
+    fast = _oscillatory_sum(g.data, u)
+    # scipy rounds its chirp phases directly, which costs it about 1e-11 here
+    assert np.abs(fast - ref).max() <= 1e-10 * np.abs(ref).max()
