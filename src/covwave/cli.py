@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -67,6 +68,10 @@ _COLUMNS = (
     "edge_leakage",
     "max_bridge_gap",
 )
+
+# numpy overflow and invalid operations raise FloatingPointError, so a
+# run fails with a message rather than carrying inf or nan into the report
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 _COMMANDS = ("boost", "window", "photon", "synthesize", "entropy", "sweep", "check")
 
@@ -119,6 +124,29 @@ def _parse_window_spec(text: str) -> Window:
     except ValueError:
         raise ValueError(f"bad window numbers in {text!r}") from None
     return Window(lower, width, kind)
+
+
+def _boost_problem(k_grid: Grid, eta: float) -> str | None:
+    """Why the rapidity eta cannot carry the momentum grid, or None.
+
+    The boosted grid must keep finite bounds, and stay at k > 0 when it
+    starts there.  Every frame also integrates k |g|**2 over it, whose
+    terms reach (upper - lower) * upper times |g|**2, so that product must
+    stay finite as well.
+    """
+    with np.errstate(over="ignore"):
+        scale = Boost(eta).scale
+    try:
+        boosted = k_grid.scaled(scale)
+    except ValueError as exc:
+        return f"the momentum grid cannot be boosted: {exc}"
+    span = f"[{boosted.lower}, {boosted.upper}]"
+    if k_grid.lower > 0.0 and boosted.lower <= 0.0:
+        return f"the boosted momentum grid {span} must stay at k > 0"
+    reach = max(abs(boosted.lower), abs(boosted.upper))
+    if not math.isfinite((boosted.upper - boosted.lower) * reach):
+        return f"the mean-momentum quadrature over the boosted grid {span} overflows"
+    return None
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -276,6 +304,11 @@ def _build_config(
             etas = _parse_eta_list(eta_text)
         except ValueError as exc:
             problems.append(f"rapidity list: {exc}")
+    if k_grid is not None:
+        for eta in etas:
+            problem = _boost_problem(k_grid, eta)
+            if problem is not None:
+                problems.append(f"rapidity {eta}: {problem}")
 
     # --- output section / flags ---------------------------------------------
     u_lo = num("output", "u_lower", default=_DEFAULT_U[0])
@@ -347,12 +380,16 @@ def _build_config(
     if problems:
         return None, problems
 
-    if family == "gaussian":
-        spectrum = gaussian_spectrum(k_grid, center, width, reference_scale)
-    elif family == "flat":
-        spectrum = flat_spectrum(k_grid, support_lower, support_upper, reference_scale)
-    else:
-        spectrum = spectrum_from_samples(k_grid, sample_data.values, reference_scale)
+    try:
+        with np.errstate(**_RAISE):
+            if family == "gaussian":
+                spectrum = gaussian_spectrum(k_grid, center, width, reference_scale)
+            elif family == "flat":
+                spectrum = flat_spectrum(k_grid, support_lower, support_upper, reference_scale)
+            else:
+                spectrum = spectrum_from_samples(k_grid, sample_data.values, reference_scale)
+    except (ValueError, FloatingPointError) as exc:
+        return None, [f"[spectral] cannot form the spectrum: {exc}"]
 
     cfg = RunConfig(
         spectrum=spectrum,
@@ -424,13 +461,14 @@ def _run(cfg: RunConfig, command: str) -> list[dict[str, float]]:
                 write_signal(cfg.signals_dir / name, sig.data)
 
         if do_entropy:
+            # each density is dropped once its entropy is taken, so that a
+            # frame never holds two of them at once
             if cfg.density_mode == "photon":
-                rho_full = density_from_photon(to_photon(g_frame, p))
-                rho_win = density_from_photon(amplitude)
+                s_full = entropy(density_from_photon(to_photon(g_frame, p)))
+                s_win = entropy(density_from_photon(amplitude))
             else:
-                rho_full = density_from_spectral(g_frame)
-                rho_win = density_from_spectral(g_used)
-            s_full, s_win = entropy(rho_full), entropy(rho_win)
+                s_full = entropy(density_from_spectral(g_frame))
+                s_win = entropy(density_from_spectral(g_used))
             row["s_analytic"] = s_full
             row["s_windowed"] = s_win
             row["delta_s"] = s_full - s_win
@@ -518,8 +556,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     try:
-        rows = _run(cfg, args.command)
-    except DataError as exc:
+        with np.errstate(**_RAISE):
+            rows = _run(cfg, args.command)
+    except (ValueError, FloatingPointError) as exc:
         print(f"covwave: error: data: {exc}", file=sys.stderr)
         return 3
 

@@ -2,7 +2,8 @@
 
 Everything downstream (spectra, signals, densities) stores samples on a
 Grid and integrates with trapezoid weights, so quadrature conventions are
-fixed here once.
+fixed here once.  Real samples stay float64 and complex samples complex128,
+so real integrands (densities, moments, entropy) are summed as reals.
 """
 from __future__ import annotations
 
@@ -65,35 +66,43 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex samples attached to a grid, one value per node."""
+    """Samples attached to a grid, one value per node.
+
+    Real input is stored as float64 and complex input as complex128.  Every
+    sample is checked to be finite here, once, so consumers need not rescan.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values)
+        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+        values = values.astype(dtype, copy=False)
         if values.shape != (self.grid.count,):
             raise ValueError(
                 f"expected {self.grid.count} samples, got shape {values.shape}"
             )
-        bad = ~np.isfinite(values)
-        if bad.any():
-            first = int(np.flatnonzero(bad)[0])
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite))
             raise ValueError(f"non-finite sample at index {first}")
         object.__setattr__(self, "values", values)
 
-    def map_values(self, fn) -> "GridFunction":
-        """Same grid, values replaced by fn(values)."""
-        return GridFunction(self.grid, fn(self.values))
-
 
 def integrate(f: GridFunction) -> complex:
-    """Trapezoid integral of the samples over the grid's interval."""
-    bad = ~np.isfinite(f.values)
-    if bad.any():
-        first = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"non-finite sample at index {first}")
-    return complex(f.grid.weights @ f.values)
+    """Trapezoid integral of the samples over the grid's interval.
+
+    The float64 weights meet real samples in one real dot product, and the
+    real and imaginary parts of complex samples in one each.  Those parts
+    are copied to contiguous arrays first, so that they are summed in the
+    same order as real samples and a real integrand gives the same number
+    whether it is stored real or complex.
+    """
+    w, v = f.grid.weights, f.values
+    if np.iscomplexobj(v):
+        return complex(w @ v.real.copy(), w @ v.imag.copy())
+    return complex(w @ v)
 
 
 def resample(f: GridFunction, target: Grid) -> GridFunction:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -33,17 +34,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SpectralFunction:
-    """Complex spectrum g(k) on a momentum grid.
+    """Spectrum g(k) on a momentum grid, real or complex.
 
     ``reference_scale`` is the positive scale sigma used by the multiplier
-    pair sqrt(p/sigma), sqrt(sigma/p); by default the factories set it to
-    the spectrum's own mean momentum so the pair starts at (1, 1).
+    pair sqrt(p/sigma), sqrt(sigma/p).  Left as None it becomes the
+    spectrum's own mean momentum, so the pair starts at (1, 1), or 1.0 for a
+    zero-norm spectrum.
     """
 
     data: GridFunction
-    reference_scale: float
+    reference_scale: float | None = None
 
     def __post_init__(self) -> None:
+        if self.reference_scale is None:
+            n2, first = _moments(self)
+            object.__setattr__(self, "reference_scale", first / n2 if n2 > 0.0 else 1.0)
         if not (np.isfinite(self.reference_scale) and self.reference_scale > 0.0):
             raise ValueError(
                 f"reference scale must be positive, got {self.reference_scale}"
@@ -52,6 +57,16 @@ class SpectralFunction:
     @property
     def grid(self) -> Grid:
         return self.data.grid
+
+    @cached_property
+    def intensity(self) -> GridFunction:
+        """|g(k)|**2 as real samples on the spectrum's grid.
+
+        Computed once per spectrum: every quadrature of the intensity (norm,
+        mean momentum, density) reads this one array.  A boosted or windowed
+        spectrum is a new object and computes its own from its own samples.
+        """
+        return GridFunction(self.grid, np.abs(self.data.values) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,17 +86,6 @@ class WaveletSignal:
     @property
     def grid(self) -> Grid:
         return self.data.grid
-
-
-def _default_scale(data: GridFunction, reference_scale: float | None) -> float:
-    if reference_scale is not None:
-        return reference_scale
-    dens = GridFunction(data.grid, np.abs(data.values) ** 2)
-    n2 = integrate(dens).real
-    if n2 <= 0.0:
-        return 1.0
-    num = integrate(GridFunction(data.grid, data.grid.nodes * dens.values)).real
-    return num / n2
 
 
 def gaussian_spectrum(
@@ -104,8 +108,7 @@ def gaussian_spectrum(
             f"gaussian spectrum needs a positive-momentum grid, lower bound is {grid.lower}"
         )
     values = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
-    data = GridFunction(grid, values)
-    return SpectralFunction(data, _default_scale(data, reference_scale))
+    return SpectralFunction(GridFunction(grid, values), reference_scale)
 
 
 def flat_spectrum(
@@ -125,8 +128,7 @@ def flat_spectrum(
         )
     nodes = grid.nodes
     values = ((nodes >= support_lower) & (nodes <= support_upper)).astype(float)
-    data = GridFunction(grid, values)
-    return SpectralFunction(data, _default_scale(data, reference_scale))
+    return SpectralFunction(GridFunction(grid, values), reference_scale)
 
 
 def spectrum_from_samples(
@@ -134,28 +136,34 @@ def spectrum_from_samples(
     values: np.ndarray,
     reference_scale: float | None = None,
 ) -> SpectralFunction:
-    """Wrap explicit complex samples as a spectrum."""
-    data = GridFunction(grid, values)
-    return SpectralFunction(data, _default_scale(data, reference_scale))
+    """Wrap explicit real or complex samples as a spectrum."""
+    return SpectralFunction(GridFunction(grid, values), reference_scale)
+
+
+def _moments(g: SpectralFunction) -> tuple[float, float]:
+    """(integral |g|**2 dk, integral k |g|**2 dk) by trapezoid quadrature."""
+    dens = g.intensity
+    n2 = integrate(dens).real
+    first = integrate(GridFunction(g.grid, g.grid.nodes * dens.values)).real
+    return n2, first
 
 
 def norm_squared(g: SpectralFunction) -> float:
     """integral |g(k)|**2 dk by trapezoid quadrature."""
-    return integrate(g.data.map_values(lambda v: np.abs(v) ** 2)).real
+    return integrate(g.intensity).real
 
 
 def mean_momentum(g: SpectralFunction) -> float:
     """p = integral k |g|**2 dk / integral |g|**2 dk.
 
     Raises DataError when the spectrum has zero norm (the ratio is then
-    undefined) or when the result is not positive.
+    undefined) or when the result is not finite and positive.
     """
-    dens = np.abs(g.data.values) ** 2
-    n2 = integrate(GridFunction(g.grid, dens)).real
+    n2, first = _moments(g)
     if n2 <= 0.0:
         raise DataError("mean momentum undefined for a zero-norm spectrum")
-    p = integrate(GridFunction(g.grid, g.grid.nodes * dens)).real / n2
-    if p <= 0.0:
+    p = first / n2
+    if not (np.isfinite(p) and p > 0.0):
         raise DataError(f"mean momentum must be positive, got {p}")
     return p
 

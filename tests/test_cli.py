@@ -159,6 +159,44 @@ def test_usage_error_is_single_line(tmp_path, capsys):
     assert "error: config:" in err
 
 
+@pytest.mark.parametrize("eta", ["800", "-800", "400"])
+@pytest.mark.parametrize("command", ["check", "sweep", "entropy"])
+def test_extreme_rapidity_fails_cleanly(tmp_path, capsys, command, eta):
+    # e^eta overflows, underflows to 0, or takes k |g|**2 past float range
+    cfg = write_config(tmp_path)
+    report = tmp_path / "report.csv"
+    code = run_cli([command, "--config", cfg, f"--eta={eta}", "--out", str(report)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert not report.exists()
+    if command == "check":
+        assert "ok" not in out.splitlines()
+        assert f"violation: rapidity {float(eta)}" in out
+    else:
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"rapidity {float(eta)}" in err
+
+
+@pytest.mark.parametrize(
+    "amplitude, scale_line, check_code, run_code",
+    [(1e200, "", 2, 2), (1e155, "reference_scale = 5.0\n", 0, 3)],
+)
+def test_overflowing_samples_fail_cleanly(
+    tmp_path, capsys, amplitude, scale_line, check_code, run_code
+):
+    # |g|**2 overflows: in the default reference scale while the config is
+    # built, or, with the scale given, in the first frame of the run
+    grid = Grid(0.5, 10.0, 257)
+    write_spectrum(tmp_path / "input.csv", GridFunction(grid, np.full(257, amplitude)))
+    text = f"[spectral]\nfamily = samples\npath = input.csv\n{scale_line}"
+    cfg = write_config(tmp_path, text)
+    assert run_cli(["check", "--config", cfg]) == check_code
+    capsys.readouterr()
+    assert run_cli(["boost", "--config", cfg]) == run_code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflow" in err
+
+
 def test_success_exit_code(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "report.csv"

@@ -44,6 +44,14 @@ def uniform_density(lower, width, count=1001):
 # --- densities ---------------------------------------------------------------
 
 
+def test_density_rejects_imaginary_part():
+    grid = Grid(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="real valued"):
+        ProbabilityDensity(GridFunction(grid, np.ones(11) + 1e-3j))
+    rho = ProbabilityDensity(GridFunction(grid, np.ones(11) + 0j))
+    assert rho.values.dtype == np.float64
+
+
 def test_flat_spectrum_gives_uniform_density():
     g = flat_spectrum(Grid(1.0, 3.0, 1001), 1.0, 3.0)
     rho = density_from_spectral(g)
@@ -139,6 +147,20 @@ def test_zero_log_zero_convention():
     rho = density_from_spectral(apply_window(g, Window(1.0, 2.0)))
     assert np.isfinite(entropy(rho))
     assert entropy(rho) == pytest.approx(np.log(2.0), abs=1e-9)
+
+
+def test_entropy_with_exact_zeros_matches_masked_formula():
+    grid = Grid(0.0, 4.0, 401)
+    x = grid.nodes
+    raw = np.where(np.abs(x - 2.0) < 0.7, np.exp(-((x - 2.0) ** 2)), 0.0)
+    raw[[10, 20, 30]] = [1e-300, 5e-324, 1e-310]  # tiny and subnormal, but positive
+    total = integrate(GridFunction(grid, raw)).real
+    rho = ProbabilityDensity(GridFunction(grid, raw / total))
+    v = rho.values
+    masked = np.zeros_like(v)
+    pos = v > 0.0
+    masked[pos] = v[pos] * np.log(v[pos])
+    assert entropy(rho) == -integrate(GridFunction(grid, masked)).real
 
 
 # --- boosted densities ---------------------------------------------------------

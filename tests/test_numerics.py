@@ -34,6 +34,25 @@ def test_integrate_is_complex_aware():
     assert integrate(f) == pytest.approx(1.0 + 2.0j, abs=1e-14)
 
 
+def test_samples_keep_real_or_complex_dtype():
+    grid = Grid(0.0, 1.0, 5)
+    assert GridFunction(grid, np.arange(5.0)).values.dtype == np.float64
+    assert GridFunction(grid, np.arange(5)).values.dtype == np.float64
+    assert GridFunction(grid, np.arange(5.0) + 0j).values.dtype == np.complex128
+    assert GridFunction(grid, np.ones(5, dtype=np.complex64)).values.dtype == np.complex128
+
+
+@pytest.mark.parametrize("count", [257, 2**16 + 3, 2**20])
+def test_real_integral_matches_complex_cast(count):
+    rng = np.random.default_rng(count)
+    grid = Grid(-1.0, 3.0, count)
+    values = rng.uniform(0.0, 5.0, count)
+    real = integrate(GridFunction(grid, values))
+    cast = integrate(GridFunction(grid, values.astype(np.complex128)))
+    assert isinstance(real, complex) and real.imag == 0.0
+    assert abs(real - cast) <= 1e-15 * abs(cast)
+
+
 @given(
     a=st.floats(-2.0, 2.0, allow_nan=False),
     b=st.floats(-2.0, 2.0, allow_nan=False),

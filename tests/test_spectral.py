@@ -65,6 +65,7 @@ def test_flat_parameter_validation():
 
 def test_reference_scale_defaults_to_mean_momentum(gauss):
     assert gauss.reference_scale == pytest.approx(5.0, abs=1e-9)
+    assert gauss.reference_scale == mean_momentum(gauss)
     explicit = gaussian_spectrum(K_GRID, 5.0, 0.5, reference_scale=2.5)
     assert explicit.reference_scale == 2.5
     zero = spectrum_from_samples(Grid(1.0, 2.0, 8), np.zeros(8))
@@ -110,6 +111,19 @@ def test_mean_momentum_rejects_zero_norm():
     g = spectrum_from_samples(Grid(1.0, 2.0, 64), np.zeros(64))
     with pytest.raises(DataError, match="zero-norm"):
         mean_momentum(g)
+
+
+def test_boosted_frame_computes_its_own_intensity():
+    g = gaussian_spectrum(K_GRID, 5.0, 0.5, reference_scale=5.0)
+    boosted = boost_spectral(g, Boost(0.7))
+    dens = boosted.intensity
+    assert "intensity" not in vars(g)  # the frame did not read g's intensity
+    assert dens is not g.intensity
+    assert not np.shares_memory(dens.values, g.intensity.values)
+    assert dens.grid == boosted.grid
+    assert dens.values.dtype == np.float64
+    np.testing.assert_array_equal(dens.values, np.abs(boosted.data.values) ** 2)
+    assert boosted.intensity is dens
 
 
 # --- synthesis ---------------------------------------------------------------
