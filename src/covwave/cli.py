@@ -132,7 +132,9 @@ def _boost_problem(k_grid: Grid, eta: float) -> str | None:
     The boosted grid must keep finite bounds, and stay at k > 0 when it
     starts there.  Every frame also integrates k |g|**2 over it, whose
     terms reach (upper - lower) * upper times |g|**2, so that product must
-    stay finite as well.
+    stay finite as well.  Its terms are at most spacing * upper times
+    |g|**2, so that product must stay a normal number: below it the terms
+    lose precision as subnormals and then vanish, and p comes out wrong.
     """
     with np.errstate(over="ignore"):
         scale = Boost(eta).scale
@@ -146,6 +148,8 @@ def _boost_problem(k_grid: Grid, eta: float) -> str | None:
     reach = max(abs(boosted.lower), abs(boosted.upper))
     if not math.isfinite((boosted.upper - boosted.lower) * reach):
         return f"the mean-momentum quadrature over the boosted grid {span} overflows"
+    if boosted.spacing * reach < np.finfo(float).tiny:
+        return f"the mean-momentum quadrature over the boosted grid {span} underflows"
     return None
 
 

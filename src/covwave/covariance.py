@@ -132,11 +132,14 @@ def wavelet_form(f: GridFunction, m: AffineMap) -> GridFunction:
 def boost_spectral(g: SpectralFunction, boost: Boost) -> SpectralFunction:
     """Boosted spectrum g'(k') = g(exp(-eta) k') on the grid scaled by exp(eta).
 
-    Sample values are reused verbatim; only the grid bounds change.  The
-    reference scale is left alone, so the multiplier pair picks up the
-    boost through the mean momentum.
+    Sample values are reused verbatim, support included; only the grid
+    bounds change.  The reference scale is left alone, so the multiplier
+    pair picks up the boost through the mean momentum.
     """
-    data = GridFunction(g.grid.scaled(boost.scale), g.data.values.copy())
+    lo, hi = g.data.support
+    data = GridFunction.on_support(
+        g.grid.scaled(boost.scale), lo, hi, g.data.values[lo:hi].copy()
+    )
     return SpectralFunction(data, g.reference_scale)
 
 

@@ -46,11 +46,12 @@ class ProbabilityDensity:
     data: GridFunction
 
     def __post_init__(self) -> None:
-        v = self.data.values
+        lo, hi = self.data.support
+        v = self.data.values[lo:hi]
         if np.iscomplexobj(v) and np.any(v.imag != 0.0):
             raise ValueError("a probability density must be real valued")
         if np.any(v.real < 0.0):
-            first = int(np.flatnonzero(v.real < 0.0)[0])
+            first = lo + int(np.flatnonzero(v.real < 0.0)[0])
             raise ValueError(f"negative density value at index {first}")
         total = integrate(self.data).real
         if abs(total - 1.0) > _NORMALISATION_TOL:
@@ -84,7 +85,9 @@ def _normalised(raw: GridFunction, what: str) -> ProbabilityDensity:
     total = integrate(raw).real
     if total <= 0.0:
         raise DataError(f"{what} has zero norm; no density can be formed")
-    return ProbabilityDensity(GridFunction(raw.grid, raw.values / total))
+    lo, hi = raw.support
+    density = GridFunction.on_support(raw.grid, lo, hi, raw.values[lo:hi] / total)
+    return ProbabilityDensity(density)
 
 
 def density_from_spectral(g: SpectralFunction) -> ProbabilityDensity:
@@ -104,7 +107,8 @@ def density_from_photon(a: PhotonAmplitude) -> ProbabilityDensity:
 
 def entropy(rho: ProbabilityDensity) -> float:
     """S = - integral rho ln rho dk with the 0 ln 0 := 0 convention."""
-    v = rho.values
+    lo, hi = rho.data.support
+    v = rho.values[lo:hi]
     if np.any(v < 0.0):
         raise ValueError("entropy needs a nonnegative density")
     # v ln v, with ln 1 = 0 standing in at the zero nodes for 0 ln 0 := 0;
@@ -112,7 +116,7 @@ def entropy(rho: ProbabilityDensity) -> float:
     integrand = np.where(v > 0.0, v, 1.0)
     np.log(integrand, out=integrand)
     integrand *= v
-    return -integrate(GridFunction(rho.grid, integrand)).real
+    return -integrate(GridFunction.on_support(rho.grid, lo, hi, integrand)).real
 
 
 def boost_density(rho: ProbabilityDensity, boost: Boost) -> ProbabilityDensity:
@@ -124,7 +128,8 @@ def boost_density(rho: ProbabilityDensity, boost: Boost) -> ProbabilityDensity:
     quadrature level.
     """
     s = boost.scale
-    data = GridFunction(rho.grid.scaled(s), rho.values / s)
+    lo, hi = rho.data.support
+    data = GridFunction.on_support(rho.grid.scaled(s), lo, hi, rho.values[lo:hi] / s)
     return ProbabilityDensity(data)
 
 

@@ -47,7 +47,9 @@ class SpectralFunction:
 
     def __post_init__(self) -> None:
         if self.reference_scale is None:
-            n2, first = _moments(self)
+            # from an intensity that is not cached, so it is freed on return:
+            # a base spectrum that is only boosted never reads it again
+            n2, first = _moments(_intensity(self.data))
             object.__setattr__(self, "reference_scale", first / n2 if n2 > 0.0 else 1.0)
         if not (np.isfinite(self.reference_scale) and self.reference_scale > 0.0):
             raise ValueError(
@@ -66,7 +68,16 @@ class SpectralFunction:
         mean momentum, density) reads this one array.  A boosted or windowed
         spectrum is a new object and computes its own from its own samples.
         """
-        return GridFunction(self.grid, np.abs(self.data.values) ** 2)
+        return _intensity(self.data)
+
+
+def _intensity(data: GridFunction) -> GridFunction:
+    """|data|**2 as real samples with data's support."""
+    lo, hi = data.support
+    v = data.values[lo:hi]
+    # for real samples np.square equals np.abs(v)**2 bit for bit, in one pass
+    inner = np.abs(v) ** 2 if np.iscomplexobj(v) else np.square(v)
+    return GridFunction.on_support(data.grid, lo, hi, inner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +151,14 @@ def spectrum_from_samples(
     return SpectralFunction(GridFunction(grid, values), reference_scale)
 
 
-def _moments(g: SpectralFunction) -> tuple[float, float]:
-    """(integral |g|**2 dk, integral k |g|**2 dk) by trapezoid quadrature."""
-    dens = g.intensity
+def _moments(dens: GridFunction) -> tuple[float, float]:
+    """(integral |g|**2 dk, integral k |g|**2 dk) by trapezoid quadrature,
+    from the intensity |g|**2 and over its support."""
+    lo, hi = dens.support
+    grid = dens.grid
     n2 = integrate(dens).real
-    first = integrate(GridFunction(g.grid, g.grid.nodes * dens.values)).real
+    moment = grid.nodes[lo:hi] * dens.values[lo:hi]
+    first = integrate(GridFunction.on_support(grid, lo, hi, moment)).real
     return n2, first
 
 
@@ -159,7 +173,7 @@ def mean_momentum(g: SpectralFunction) -> float:
     Raises DataError when the spectrum has zero norm (the ratio is then
     undefined) or when the result is not finite and positive.
     """
-    n2, first = _moments(g)
+    n2, first = _moments(g.intensity)
     if n2 <= 0.0:
         raise DataError("mean momentum undefined for a zero-norm spectrum")
     p = first / n2

@@ -46,8 +46,9 @@ class Window:
 def apply_window(g: SpectralFunction, win: Window) -> SpectralFunction:
     """Zero the spectrum outside [win.lower, win.upper]; grid is unchanged.
 
-    Both endpoints are kept (closed interval).  Raises DataError when the
-    window and the spectral grid do not overlap at all.
+    Both endpoints are kept (closed interval).  The result's support is the
+    range of kept nodes, so later passes over it cost O(kept nodes).  Raises
+    DataError when the window and the spectral grid do not overlap at all.
     """
     grid = g.grid
     if win.upper < grid.lower or win.lower > grid.upper:
@@ -55,9 +56,13 @@ def apply_window(g: SpectralFunction, win: Window) -> SpectralFunction:
             f"window [{win.lower}, {win.upper}] misses the spectral "
             f"interval [{grid.lower}, {grid.upper}]"
         )
+    # the nodes are sorted, so the kept ones form the index range [lo, hi),
+    # narrowed to the input's own support
     nodes = grid.nodes
-    mask = (nodes >= win.lower) & (nodes <= win.upper)
-    data = GridFunction(grid, np.where(mask, g.data.values, 0.0))
+    lo, hi = g.data.support
+    lo = max(lo, int(np.searchsorted(nodes, win.lower, "left")))
+    hi = max(lo, min(hi, int(np.searchsorted(nodes, win.upper, "right"))))
+    data = GridFunction.on_support(grid, lo, hi, g.data.values[lo:hi])
     return SpectralFunction(data, g.reference_scale)
 
 

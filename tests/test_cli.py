@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covwave.cli import main
+from covwave.cli import _boost_problem, main
 from covwave.io import write_spectrum
 from covwave.numerics import Grid, GridFunction
 
@@ -159,10 +159,12 @@ def test_usage_error_is_single_line(tmp_path, capsys):
     assert "error: config:" in err
 
 
-@pytest.mark.parametrize("eta", ["800", "-800", "400"])
+@pytest.mark.parametrize("eta", ["800", "-800", "400", "-400", "-370"])
 @pytest.mark.parametrize("command", ["check", "sweep", "entropy"])
 def test_extreme_rapidity_fails_cleanly(tmp_path, capsys, command, eta):
-    # e^eta overflows, underflows to 0, or takes k |g|**2 past float range
+    # e^eta overflows, underflows to 0, takes k |g|**2 past float range, or
+    # shrinks the quadrature terms to subnormals (unchecked, p comes out 0
+    # at -400 and 0.4% off at -370)
     cfg = write_config(tmp_path)
     report = tmp_path / "report.csv"
     code = run_cli([command, "--config", cfg, f"--eta={eta}", "--out", str(report)])
@@ -175,6 +177,28 @@ def test_extreme_rapidity_fails_cleanly(tmp_path, capsys, command, eta):
     else:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"rapidity {float(eta)}" in err
+
+
+def test_most_negative_accepted_rapidity_keeps_p_exact(tmp_path, capsys):
+    # bisect to the last rapidity whose quadrature terms stay normal numbers
+    grid = Grid(0.1, 20.0, 1024)  # the grid of BASE_CONFIG
+    rejected, accepted = -400.0, 0.0
+    for _ in range(64):  # enough halvings to reach adjacent floats
+        mid = 0.5 * (rejected + accepted)
+        if _boost_problem(grid, mid) is None:
+            accepted = mid
+        else:
+            rejected = mid
+    assert -354.0 < accepted < -353.0
+    cfg = write_config(tmp_path)
+    assert run_cli(["check", "--config", cfg, f"--eta={accepted!r}"]) == 0
+    assert run_cli(["check", "--config", cfg, f"--eta={rejected!r}"]) == 2
+    report = tmp_path / "report.csv"
+    assert run_cli(["entropy", "--config", cfg, f"--eta={accepted!r},0", "--out", str(report)]) == 0
+    capsys.readouterr()
+    edge, rest = read_report(report)
+    p_rest = edge["p"] * np.exp(-accepted)
+    assert abs(p_rest - rest["p"]) <= 1e-12 * rest["p"]
 
 
 @pytest.mark.parametrize(

@@ -126,6 +126,12 @@ def test_boosted_frame_computes_its_own_intensity():
     assert boosted.intensity is dens
 
 
+def test_default_reference_scale_does_not_cache_the_intensity():
+    g = gaussian_spectrum(K_GRID, 5.0, 0.5)
+    assert "intensity" not in vars(g)  # freed once the scale is taken
+    assert g.reference_scale == mean_momentum(g)
+
+
 # --- synthesis ---------------------------------------------------------------
 
 # k-grid of the acceptance suite: 4001 nodes, not a power of two
