@@ -16,13 +16,12 @@ from .entropy import (
     EntropyReport,
     ProbabilityDensity,
     boost_density,
-    density_from_photon,
     density_from_spectral,
     entropy,
     entropy_difference,
 )
 from .io import read_spectrum, write_signal, write_spectrum
-from .numerics import DataError, Grid, GridFunction, integrate, resample
+from .numerics import DataError, Grid, GridFunction, integrate
 from .photon import (
     PhotonAmplitude,
     boost_photon,
@@ -47,7 +46,6 @@ from .windowing import (
     apply_window,
     boost_window,
     invariant_ratio,
-    translate_window,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +71,6 @@ __all__ = [
     "boost_photon",
     "boost_spectral",
     "boost_window",
-    "density_from_photon",
     "density_from_spectral",
     "edge_leakage",
     "entropy",
@@ -87,13 +84,11 @@ __all__ = [
     "multiplier_pair",
     "norm_squared",
     "read_spectrum",
-    "resample",
     "spectrum_from_samples",
     "synthesize",
     "synthesize_photon_field",
     "to_photon",
     "to_spectral",
-    "translate_window",
     "wavelet_form",
     "write_signal",
     "write_spectrum",

@@ -8,14 +8,17 @@ rapidity:
     covwave window     --config run.ini --window second,4.5,1.0
     covwave photon     --config run.ini --out photon.csv
     covwave synthesize --config run.ini --emit-signals
-    covwave entropy    --config run.ini --density-mode intensity
+    covwave entropy    --config run.ini
     covwave sweep      --config run.ini --eta 0,0.5,1
     covwave check      --config run.ini
 
-``check`` validates the configuration, prints every violation it finds,
-and never touches the filesystem.  Exit codes: 0 success, 2 usage or
-configuration error, 3 numeric precondition failure in otherwise valid
-input.
+Config keys are read against one table, so a misspelt key is a violation;
+the grids, the window and the spectrum come from the library's own
+constructors, whose errors are the other violations.  ``check`` validates
+the configuration, prints every violation it finds, and never touches the
+filesystem.  Exit codes: 0 success, 2 usage or configuration error (an
+output path that cannot be written included), 3 numeric precondition
+failure in otherwise valid input.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .covariance import Boost, boost_spectral
-from .entropy import density_from_photon, density_from_spectral, entropy
+from .entropy import density_from_spectral, entropy
 from .io import read_spectrum, write_signal
 from .numerics import DataError, Grid, GridFunction, integrate
 from .photon import invariant_norm, synthesize_photon_field, to_photon
@@ -49,11 +52,6 @@ from .spectral import (
 from .windowing import Window, apply_window, boost_window, invariant_ratio
 
 __all__ = ["main"]
-
-_FAMILIES = ("gaussian", "flat", "samples")
-_DENSITY_MODES = ("intensity", "photon")
-_DEFAULT_GRID_COUNT = 4096
-_DEFAULT_U = (-40.0, 40.0, 4096)
 
 _COLUMNS = (
     "eta",
@@ -75,6 +73,42 @@ _RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 _COMMANDS = ("boost", "window", "photon", "synthesize", "entropy", "sweep", "check")
 
+# every key a config may hold: the parser of its value, and the value it
+# takes when left out (None where the key has no default).  A section or key
+# that is not listed here is a violation.
+_KEYS = {
+    ("spectral", "family"): (str, None),
+    ("spectral", "path"): (str, None),
+    ("spectral", "grid_lower"): (float, None),
+    ("spectral", "grid_upper"): (float, None),
+    ("spectral", "grid_count"): (int, 4096),
+    ("spectral", "reference_scale"): (float, None),
+    ("spectral", "center"): (float, None),
+    ("spectral", "width"): (float, None),
+    ("spectral", "support_lower"): (float, None),
+    ("spectral", "support_upper"): (float, None),
+    ("window", "kind"): (str, "second"),
+    ("window", "lower"): (float, None),
+    ("window", "width"): (float, None),
+    ("boosts", "eta"): (str, "0.0"),
+    ("output", "u_lower"): (float, -40.0),
+    ("output", "u_upper"): (float, 40.0),
+    ("output", "u_count"): (int, 4096),
+    ("output", "report"): (str, None),
+    ("output", "signals_dir"): (str, None),
+    ("output", "emit_signals"): (bool, False),
+    ("output", "photon_bridge"): (bool, False),
+    ("output", "max_edge_leakage"): (float, None),
+}
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
+
+# the factory of each parametric family, and the [spectral] keys of its
+# two parameters
+_FACTORIES = {
+    "gaussian": (gaussian_spectrum, ("center", "width")),
+    "flat": (flat_spectrum, ("support_lower", "support_upper")),
+}
+
 
 class ConfigError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
@@ -89,7 +123,6 @@ class RunConfig:
     etas: tuple[float, ...]
     u_grid: Grid
     report_path: Path | None
-    density_mode: str
     emit_signals: bool
     photon_bridge: bool
     signals_dir: Path
@@ -157,12 +190,43 @@ def _load_config(path: str) -> configparser.ConfigParser:
     cfg_path = Path(path)
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(interpolation=None)
+    # no section holds defaults: a [DEFAULT] section is one more section,
+    # whose keys are unknown, rather than keys copied into every section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        cp.read(cfg_path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
+        cp.read(cfg_path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a parsing error puts each bad line on a line of its own
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse {path}: {detail}") from None
     return cp
+
+
+def _read_keys(cp: configparser.ConfigParser) -> tuple[dict[tuple[str, str], object], list[str]]:
+    """Every key of the config as a typed value, and the problems met.
+
+    A key that the table does not list, a value that its parser rejects and
+    a number that is not finite are each a problem, and such a key gets no
+    value.
+    """
+    values: dict[tuple[str, str], object] = {}
+    problems: list[str] = []
+    for section in cp.sections():
+        for key, raw in cp.items(section):
+            if (section, key) not in _KEYS:
+                problems.append(f"[{section}] unknown key {key!r}")
+                continue
+            parse = _KEYS[section, key][0]
+            try:
+                value = cp.BOOLEAN_STATES[raw.lower()] if parse is bool else parse(raw)
+            except (KeyError, ValueError):
+                problems.append(f"[{section}] {key} is not {_TYPE_NAMES[parse]}: {raw!r}")
+                continue
+            if parse is float and not math.isfinite(value):
+                problems.append(f"[{section}] {key} must be finite")
+                continue
+            values[section, key] = value
+    return values, problems
 
 
 def _build_config(
@@ -170,144 +234,94 @@ def _build_config(
     args: argparse.Namespace,
     base_dir: Path,
 ) -> tuple[RunConfig | None, list[str]]:
-    """Validate the config plus flag overrides, collecting every problem."""
-    problems: list[str] = []
+    """Build the run from the config plus flag overrides, collecting every problem.
 
-    def num(
-        section: str,
-        key: str,
-        default: float | None = None,
-        required: bool = True,
-    ) -> float | None:
-        raw = cp.get(section, key, fallback=None)
-        if raw is None:
-            if required and default is None:
+    The grids, the window and the spectrum come from the library's own
+    constructors, which check their inputs: the message of each one that
+    raises is a violation.  Only the rules that involve more than one of
+    them, or the command, are checked here.
+    """
+    values, problems = _read_keys(cp)
+    flags = {
+        ("spectral", "grid_count"): args.grid_n,
+        ("boosts", "eta"): args.eta,
+        ("output", "report"): args.out,
+    }
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
+
+    def get(section: str, key: str):
+        return values.get((section, key), _KEYS[section, key][1])
+
+    def need(section: str, *keys: str) -> list:
+        for key in keys:
+            if not cp.has_option(section, key):
                 problems.append(f"[{section}] is missing {key}")
-            return default
+        return [get(section, key) for key in keys]
+
+    def attempt(where: str, build, *args, **kwargs):
+        """build(*args, **kwargs), or None once its error is listed.
+
+        build is not called when an argument is None: that is an input
+        whose problem is listed already.  OSError is listed too, as reading
+        a sample file raises it for a file that is missing or unreadable.
+        """
+        if any(arg is None for arg in args):
+            return None
         try:
-            value = float(raw)
-        except ValueError:
-            problems.append(f"[{section}] {key} is not a number: {raw!r}")
-            return default
-        if not np.isfinite(value):
-            problems.append(f"[{section}] {key} must be finite")
-            return default
-        return value
+            with np.errstate(**_RAISE):
+                return build(*args, **kwargs)
+        except (ValueError, FloatingPointError, OSError) as exc:
+            problems.append(f"{where} {exc}")
+            return None
 
     # --- spectral section -------------------------------------------------
-    family = cp.get("spectral", "family", fallback=None)
-    if family is None:
-        problems.append("[spectral] is missing family")
-    elif family not in _FAMILIES:
-        problems.append(f"[spectral] family must be one of {_FAMILIES}, got {family!r}")
-
-    k_grid: Grid | None = None
-    sample_data: GridFunction | None = None
+    (family,) = need("spectral", "family")
+    scale = get("spectral", "reference_scale")
+    photon_bridge = get("output", "photon_bridge")
+    k_grid = spectrum = None
     if family == "samples":
-        raw_path = cp.get("spectral", "path", fallback=None)
-        if raw_path is None:
-            problems.append("[spectral] family samples needs a path")
-        else:
-            sample_path = (base_dir / raw_path).resolve()
-            if not sample_path.is_file():
-                problems.append(f"[spectral] sample file not found: {raw_path}")
-            else:
-                try:
-                    sample_data = read_spectrum(sample_path)
-                    k_grid = sample_data.grid
-                except ValueError as exc:
-                    problems.append(f"[spectral] cannot read {raw_path}: {exc}")
-    elif family in ("gaussian", "flat"):
-        lo = num("spectral", "grid_lower")
-        hi = num("spectral", "grid_upper")
-        if args.grid_n is not None:
-            count = args.grid_n
-        else:
-            count_raw = cp.get("spectral", "grid_count", fallback=None)
-            if count_raw is None:
-                count = _DEFAULT_GRID_COUNT
-            else:
-                try:
-                    count = int(count_raw)
-                except ValueError:
-                    problems.append(f"[spectral] grid_count is not an integer: {count_raw!r}")
-                    count = _DEFAULT_GRID_COUNT
-        if count < 2:
-            problems.append(f"[spectral] grid_count must be at least 2, got {count}")
-        if lo is not None and hi is not None and count >= 2:
-            if lo >= hi:
-                problems.append(f"[spectral] grid needs lower < upper, got [{lo}, {hi}]")
-            else:
-                if lo <= 0.0:
-                    problems.append(
-                        f"[spectral] momentum grid must start at k > 0, got lower {lo}"
-                    )
-                k_grid = Grid(lo, hi, count)
-
-    reference_scale = num("spectral", "reference_scale", required=False)
-    if reference_scale is not None and reference_scale <= 0.0:
-        problems.append(f"[spectral] reference_scale must be positive, got {reference_scale}")
-        reference_scale = None
-
-    center = width = support_lower = support_upper = None
-    if family == "gaussian":
-        center = num("spectral", "center")
-        width = num("spectral", "width")
-        if center is not None and center <= 0.0:
-            problems.append(f"[spectral] center must be positive, got {center}")
-        if width is not None and width <= 0.0:
-            problems.append(f"[spectral] width must be positive, got {width}")
-    elif family == "flat":
-        support_lower = num("spectral", "support_lower")
-        support_upper = num("spectral", "support_upper")
-        if support_lower is not None and support_lower <= 0.0:
-            problems.append(
-                f"[spectral] support must sit at k > 0, got lower {support_lower}"
+        (raw_path,) = need("spectral", "path")
+        sample_path = None if raw_path is None else base_dir / raw_path
+        data = attempt(f"[spectral] cannot read {raw_path!r}:", read_spectrum, sample_path)
+        if data is not None:
+            k_grid = data.grid
+            spectrum = attempt(
+                "[spectral]", spectrum_from_samples, k_grid, data.values, reference_scale=scale
             )
-        if support_lower is not None and support_upper is not None:
-            if support_lower >= support_upper:
-                problems.append("[spectral] support needs lower < upper")
-            elif k_grid is not None and (
-                support_upper < k_grid.lower or support_lower > k_grid.upper
-            ):
+            # photon-side commands need k > 0 over the whole grid, which the
+            # gaussian and flat factories demand of every grid
+            if (photon_bridge or args.command in ("photon", "sweep")) and k_grid.lower <= 0.0:
                 problems.append(
-                    f"[spectral] support [{support_lower}, {support_upper}] lies "
-                    f"outside the grid [{k_grid.lower}, {k_grid.upper}]"
+                    f"photon quantities need k > 0 across the grid, lower bound is {k_grid.lower}"
                 )
+    elif family in _FACTORIES:
+        bounds = need("spectral", "grid_lower", "grid_upper")
+        k_grid = attempt("[spectral]", Grid, *bounds, get("spectral", "grid_count"))
+        build, keys = _FACTORIES[family]
+        parameters = need("spectral", *keys)
+        spectrum = attempt("[spectral]", build, k_grid, *parameters, reference_scale=scale)
+    elif family is not None:
+        families = (*_FACTORIES, "samples")
+        problems.append(f"[spectral] family must be one of {families}, got {family!r}")
 
     # --- window section / flag --------------------------------------------
     window: Window | None = None
     if args.window is not None:
-        try:
-            window = _parse_window_spec(args.window)
-        except ValueError as exc:
-            problems.append(f"--window: {exc}")
+        window = attempt("--window:", _parse_window_spec, args.window)
     elif cp.has_section("window"):
-        kind = cp.get("window", "kind", fallback="second")
-        w_lower = num("window", "lower")
-        w_width = num("window", "width")
-        if kind not in ("first", "second"):
-            problems.append(f"[window] kind must be 'first' or 'second', got {kind!r}")
-        elif w_lower is not None and w_width is not None:
-            if w_width <= 0.0:
-                problems.append(f"[window] width must be positive, got {w_width}")
-            else:
-                window = Window(w_lower, w_width, kind)
+        edges = need("window", "lower", "width")
+        window = attempt("[window]", Window, *edges, get("window", "kind"))
     if window is not None and k_grid is not None:
         if window.upper < k_grid.lower or window.lower > k_grid.upper:
             problems.append(
                 f"window [{window.lower}, {window.upper}] does not overlap the "
                 f"spectral grid [{k_grid.lower}, {k_grid.upper}]"
             )
+    if args.command in ("window", "entropy") and window is None:
+        problems.append(f"the {args.command} command needs a [window] section or --window")
 
     # --- boosts section / flag ---------------------------------------------
-    etas: tuple[float, ...] = (0.0,)
-    eta_text = args.eta if args.eta is not None else cp.get("boosts", "eta", fallback=None)
-    if eta_text is not None:
-        try:
-            etas = _parse_eta_list(eta_text)
-        except ValueError as exc:
-            problems.append(f"rapidity list: {exc}")
+    etas = attempt("rapidity list:", _parse_eta_list, get("boosts", "eta")) or ()
     if k_grid is not None:
         for eta in etas:
             problem = _boost_problem(k_grid, eta)
@@ -315,103 +329,43 @@ def _build_config(
                 problems.append(f"rapidity {eta}: {problem}")
 
     # --- output section / flags ---------------------------------------------
-    u_lo = num("output", "u_lower", default=_DEFAULT_U[0])
-    u_hi = num("output", "u_upper", default=_DEFAULT_U[1])
-    try:
-        u_count = cp.getint("output", "u_count", fallback=_DEFAULT_U[2])
-    except ValueError:
-        problems.append("[output] u_count is not an integer")
-        u_count = _DEFAULT_U[2]
-    u_grid: Grid | None = None
-    if u_lo is not None and u_hi is not None:
-        if u_lo >= u_hi or u_count < 2:
-            problems.append(
-                f"[output] position grid is malformed: [{u_lo}, {u_hi}] with {u_count} points"
-            )
-        else:
-            u_grid = Grid(u_lo, u_hi, u_count)
-
-    density_mode = (
-        args.density_mode
-        if args.density_mode is not None
-        else cp.get("output", "density_mode", fallback="intensity")
+    u_grid = attempt(
+        "[output]",
+        Grid,
+        get("output", "u_lower"),
+        get("output", "u_upper"),
+        get("output", "u_count"),
     )
-    if density_mode not in _DENSITY_MODES:
-        problems.append(
-            f"density mode must be one of {_DENSITY_MODES}, got {density_mode!r}"
-        )
-
-    try:
-        emit_signals = args.emit_signals or cp.getboolean(
-            "output", "emit_signals", fallback=False
-        )
-        photon_bridge = cp.getboolean("output", "photon_bridge", fallback=False)
-    except ValueError:
-        problems.append("[output] emit_signals and photon_bridge must be booleans")
-        emit_signals = photon_bridge = False
-
-    max_edge_leakage = num("output", "max_edge_leakage", required=False)
+    max_edge_leakage = get("output", "max_edge_leakage")
     if max_edge_leakage is not None and max_edge_leakage <= 0.0:
-        problems.append(
-            f"[output] max_edge_leakage must be positive, got {max_edge_leakage}"
-        )
+        problems.append(f"[output] max_edge_leakage must be positive, got {max_edge_leakage}")
 
-    report_raw = args.out if args.out is not None else cp.get("output", "report", fallback=None)
-    report_path = (base_dir / report_raw).resolve() if report_raw else None
-    signals_raw = cp.get("output", "signals_dir", fallback=None)
+    # resolve() raises ValueError for a name that holds a NUL byte
+    report_raw, report_path = get("output", "report"), None
+    if report_raw:
+        report_path = attempt("[output] report:", Path.resolve, base_dir / report_raw)
+    signals_raw = get("output", "signals_dir")
     if signals_raw is not None:
-        signals_dir = (base_dir / signals_raw).resolve()
+        signals_dir = attempt("[output] signals_dir:", Path.resolve, base_dir / signals_raw)
     elif report_path is not None:
         signals_dir = report_path.parent
     else:
         signals_dir = Path.cwd()
 
-    # photon-side commands need k > 0 over the whole grid; flag it here so
-    # `check` reports it instead of failing later with a data error
-    wants_photon = (
-        photon_bridge
-        or density_mode == "photon"
-        or args.command in ("photon", "sweep")
-    )
-    if wants_photon and k_grid is not None and k_grid.lower <= 0.0:
-        problems.append(
-            f"photon quantities need k > 0 across the grid, lower bound is {k_grid.lower}"
-        )
-
-    if args.command in ("window", "entropy") and window is None:
-        problems.append(f"the {args.command} command needs a [window] section or --window")
-
     if problems:
         return None, problems
-
-    try:
-        with np.errstate(**_RAISE):
-            if family == "gaussian":
-                spectrum = gaussian_spectrum(k_grid, center, width, reference_scale)
-            elif family == "flat":
-                spectrum = flat_spectrum(k_grid, support_lower, support_upper, reference_scale)
-            else:
-                spectrum = spectrum_from_samples(k_grid, sample_data.values, reference_scale)
-    except (ValueError, FloatingPointError) as exc:
-        return None, [f"[spectral] cannot form the spectrum: {exc}"]
-
     cfg = RunConfig(
         spectrum=spectrum,
         window=window,
         etas=etas,
         u_grid=u_grid,
         report_path=report_path,
-        density_mode=density_mode,
-        emit_signals=emit_signals,
+        emit_signals=args.emit_signals or get("output", "emit_signals"),
         photon_bridge=photon_bridge,
         signals_dir=signals_dir,
         max_edge_leakage=max_edge_leakage,
     )
     return cfg, []
-
-
-def _signal_norm(values: np.ndarray, grid: Grid) -> float:
-    return integrate(GridFunction(grid, np.abs(values) ** 2)).real
 
 
 def _run(cfg: RunConfig, command: str) -> list[dict[str, float]]:
@@ -439,14 +393,15 @@ def _run(cfg: RunConfig, command: str) -> list[dict[str, float]]:
             row["w_over_p"] = invariant_ratio(win_frame, p)
 
         amplitude = None
-        if do_photon or do_bridge or (do_entropy and cfg.density_mode == "photon"):
+        if do_photon or do_bridge:
             amplitude = to_photon(g_used, p)
         if do_photon:
             row["photon_norm"] = invariant_norm(amplitude)
 
         if do_synth:
             sig = synthesize(g_used, cfg.u_grid, "wavelet", momentum=p)
-            row["signal_norm"] = _signal_norm(sig.data.values, cfg.u_grid)
+            intensity = GridFunction(cfg.u_grid, np.abs(sig.data.values) ** 2)
+            row["signal_norm"] = integrate(intensity).real
             leak = edge_leakage(sig)
             row["edge_leakage"] = leak
             if cfg.max_edge_leakage is not None and leak > cfg.max_edge_leakage:
@@ -467,12 +422,8 @@ def _run(cfg: RunConfig, command: str) -> list[dict[str, float]]:
         if do_entropy:
             # each density is dropped once its entropy is taken, so that a
             # frame never holds two of them at once
-            if cfg.density_mode == "photon":
-                s_full = entropy(density_from_photon(to_photon(g_frame, p)))
-                s_win = entropy(density_from_photon(amplitude))
-            else:
-                s_full = entropy(density_from_spectral(g_frame))
-                s_win = entropy(density_from_spectral(g_used))
+            s_full = entropy(density_from_spectral(g_frame))
+            s_win = entropy(density_from_spectral(g_used))
             row["s_analytic"] = s_full
             row["s_windowed"] = s_win
             row["delta_s"] = s_full - s_win
@@ -525,11 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", help="report path, overrides [output] report")
         cmd.add_argument(
-            "--density-mode",
-            choices=_DENSITY_MODES,
-            help="entropy density: squared modulus or photon-weighted",
-        )
-        cmd.add_argument(
             "--emit-signals",
             action="store_true",
             help="write per-rapidity signal CSVs next to the report",
@@ -562,9 +508,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with np.errstate(**_RAISE):
             rows = _run(cfg, args.command)
+        _write_report(cfg, rows, args.command, args.config)
     except (ValueError, FloatingPointError) as exc:
         print(f"covwave: error: data: {exc}", file=sys.stderr)
         return 3
-
-    _write_report(cfg, rows, args.command, args.config)
+    except OSError as exc:  # a report or signal path that cannot be written
+        print(f"covwave: error: output: {exc}", file=sys.stderr)
+        return 2
     return 0

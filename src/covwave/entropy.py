@@ -21,7 +21,6 @@ import numpy as np
 
 from .covariance import Boost, boost_spectral
 from .numerics import DataError, Grid, GridFunction, integrate
-from .photon import PhotonAmplitude
 from .spectral import SpectralFunction
 from .windowing import Window, apply_window, boost_window
 
@@ -29,7 +28,6 @@ __all__ = [
     "ProbabilityDensity",
     "EntropyReport",
     "density_from_spectral",
-    "density_from_photon",
     "entropy",
     "boost_density",
     "entropy_difference",
@@ -93,16 +91,6 @@ def _normalised(raw: GridFunction, what: str) -> ProbabilityDensity:
 def density_from_spectral(g: SpectralFunction) -> ProbabilityDensity:
     """rho(k) proportional to |g(k)|**2, normalised on g's grid."""
     return _normalised(g.intensity, "spectrum")
-
-
-def density_from_photon(a: PhotonAmplitude) -> ProbabilityDensity:
-    """rho(k) proportional to |a(k)|**2 / k, normalised on a's grid.
-
-    This is the momentum distribution weighted by the invariant measure;
-    for a bridge-built amplitude it coincides with the spectral density.
-    """
-    raw = np.abs(a.data.values) ** 2 / a.grid.nodes
-    return _normalised(GridFunction(a.grid, raw), "photon amplitude")
 
 
 def entropy(rho: ProbabilityDensity) -> float:

@@ -1,4 +1,4 @@
-"""Uniform closed-interval grids, trapezoid quadrature, and resampling.
+"""Uniform closed-interval grids and trapezoid quadrature.
 
 Everything downstream (spectra, signals, densities) stores samples on a
 Grid and integrates with trapezoid weights, so quadrature conventions are
@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["DataError", "Grid", "GridFunction", "integrate", "resample"]
+__all__ = ["DataError", "Grid", "GridFunction", "integrate"]
 
 
 class DataError(ValueError):
@@ -139,18 +139,3 @@ def integrate(f: GridFunction) -> complex:
         return complex(w @ v.real.copy(), w @ v.imag.copy())
     return complex(w @ v)
 
-
-def resample(f: GridFunction, target: Grid) -> GridFunction:
-    """Linear interpolation of f onto target nodes, zero outside f's interval."""
-    if target == f.grid:
-        return GridFunction(target, f.values.copy())
-    if target.upper <= f.grid.lower or target.lower >= f.grid.upper:
-        raise DataError(
-            f"target [{target.lower}, {target.upper}] does not overlap "
-            f"source [{f.grid.lower}, {f.grid.upper}]"
-        )
-    x = target.nodes
-    src = f.grid.nodes
-    re = np.interp(x, src, f.values.real, left=0.0, right=0.0)
-    im = np.interp(x, src, f.values.imag, left=0.0, right=0.0)
-    return GridFunction(target, re + 1j * im)

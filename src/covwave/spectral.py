@@ -116,7 +116,7 @@ def gaussian_spectrum(
         raise ValueError(f"width must be positive, got {width}")
     if grid.lower <= 0.0:
         raise ValueError(
-            f"gaussian spectrum needs a positive-momentum grid, lower bound is {grid.lower}"
+            f"gaussian spectrum needs a grid at k > 0, lower bound is {grid.lower}"
         )
     values = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
     return SpectralFunction(GridFunction(grid, values), reference_scale)
@@ -128,7 +128,11 @@ def flat_spectrum(
     support_upper: float,
     reference_scale: float | None = None,
 ) -> SpectralFunction:
-    """Indicator spectrum: 1 on [support_lower, support_upper], 0 elsewhere."""
+    """Indicator spectrum: 1 on [support_lower, support_upper], 0 elsewhere.
+
+    As for the Gaussian, the grid must sit at positive momenta, and the
+    support must meet it.
+    """
     if not support_lower < support_upper:
         raise ValueError(
             f"flat support needs lower < upper, got [{support_lower}, {support_upper}]"
@@ -136,6 +140,13 @@ def flat_spectrum(
     if support_lower <= 0.0:
         raise ValueError(
             f"flat spectrum support must sit at positive momenta, got lower {support_lower}"
+        )
+    if grid.lower <= 0.0:
+        raise ValueError(f"flat spectrum needs a grid at k > 0, lower bound is {grid.lower}")
+    if support_upper < grid.lower or support_lower > grid.upper:
+        raise ValueError(
+            f"flat support [{support_lower}, {support_upper}] lies outside "
+            f"the grid [{grid.lower}, {grid.upper}]"
         )
     nodes = grid.nodes
     values = ((nodes >= support_lower) & (nodes <= support_upper)).astype(float)

@@ -13,7 +13,6 @@ __all__ = [
     "Window",
     "apply_window",
     "boost_window",
-    "translate_window",
     "invariant_ratio",
 ]
 
@@ -76,13 +75,6 @@ def boost_window(win: Window, boost: Boost) -> Window:
         return win
     s = boost.scale
     return Window(s * win.lower, s * win.width, win.kind)
-
-
-def translate_window(win: Window, shift: float) -> Window:
-    """Slide the window by a finite shift, width and kind kept."""
-    if not np.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift}")
-    return Window(win.lower + shift, win.width, win.kind)
 
 
 def invariant_ratio(win: Window, p: float) -> float:

@@ -279,17 +279,6 @@ def test_sweep_fills_every_section(tmp_path):
     assert max(ratios) - min(ratios) < 1e-12
 
 
-def test_photon_density_mode(tmp_path):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "report.csv"
-    code = run_cli(
-        ["entropy", "--config", cfg, "--out", str(out), "--density-mode", "photon"]
-    )
-    assert code == 0
-    gaps = [r["delta_s"] for r in read_report(out)]
-    assert max(gaps) - min(gaps) < 1e-4
-
-
 def test_report_identical_across_runs(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -393,6 +382,60 @@ def test_edge_leakage_bound_enforced(tmp_path):
     text += "max_edge_leakage = 1e-8\n"
     cfg = write_config(tmp_path, text)
     assert run_cli(["synthesize", "--config", cfg]) == 3
+
+
+def test_misspelt_key_is_usage_error(tmp_path, capsys):
+    # the leakage bound of test_edge_leakage_bound_enforced, misspelt: an
+    # ignored key would switch the gate off and let the run exit 0
+    text = BASE_CONFIG.replace("u_lower = -40.0", "u_lower = -1.0")
+    text = text.replace("u_upper = 40.0", "u_upper = 1.0")
+    text += "max_edge_lekage = 1e-8\n"
+    cfg = write_config(tmp_path, text)
+    assert run_cli(["synthesize", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown key 'max_edge_lekage'" in err
+    assert run_cli(["check", "--config", cfg]) == 2
+    assert "violation: [output] unknown key" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("density_mode = photon\n", "[output] unknown key 'density_mode'"),
+        ("[DEFAULT]\nu_count = 256\n", "[DEFAULT] unknown key 'u_count'"),
+    ],
+    ids=["density_mode", "DEFAULT"],
+)
+def test_keys_outside_the_table_are_rejected(tmp_path, capsys, extra, message):
+    # the retired density mode, and a defaults section that configparser
+    # would copy into every section
+    cfg = write_config(tmp_path, BASE_CONFIG + extra)
+    assert run_cli(["entropy", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["--out", "signals_dir"])
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, where):
+    # a path whose parent is a regular file can be neither made nor written
+    (tmp_path / "file").write_text("")
+    if where == "--out":
+        cfg = write_config(tmp_path)
+        argv = ["boost", "--out", str(tmp_path / "file" / "report.csv")]
+    else:
+        cfg = write_config(tmp_path, BASE_CONFIG + "signals_dir = file/signals\n")
+        argv = ["synthesize", "--emit-signals", "--out", str(tmp_path / "report.csv")]
+    assert run_cli(argv + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "error: output:" in err
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(BASE_CONFIG.encode() + b"# caf\xe9\n")
+    assert run_cli(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: config:" in err
 
 
 def test_module_entry_point(tmp_path):

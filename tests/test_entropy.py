@@ -6,17 +6,14 @@ from covwave.entropy import (
     EntropyReport,
     ProbabilityDensity,
     boost_density,
-    density_from_photon,
     density_from_spectral,
     entropy,
     entropy_difference,
 )
 from covwave.numerics import DataError, Grid, GridFunction, integrate
-from covwave.photon import to_photon
 from covwave.spectral import (
     flat_spectrum,
     gaussian_spectrum,
-    mean_momentum,
     spectrum_from_samples,
 )
 from covwave.windowing import Window
@@ -88,17 +85,6 @@ def test_density_integrates_to_one_for_random_spectra():
         rho = density_from_spectral(g)
         assert integrate(rho.data).real == pytest.approx(1.0, abs=1e-10)
         assert np.all(rho.values >= 0.0)
-
-
-def test_density_from_photon_matches_bridge_density():
-    g = gaussian_spectrum(Grid(0.1, 20.0, 1024), 5.0, 0.5)
-    p = mean_momentum(g)
-    via_photon = density_from_photon(to_photon(g, p))
-    via_spectrum = density_from_spectral(g)
-    # atol forgives the far-tail nodes where |g|^2 underflows to subnormals
-    np.testing.assert_allclose(
-        via_photon.values, via_spectrum.values, rtol=1e-12, atol=1e-300
-    )
 
 
 def test_density_rejects_zero_spectrum():

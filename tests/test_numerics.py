@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covwave.numerics import DataError, Grid, GridFunction, integrate, resample
+from covwave.numerics import Grid, GridFunction, integrate
 
 
 def grid_fn(lower, upper, count, fn):
@@ -139,40 +139,3 @@ def test_gridfunction_names_nonfinite_index():
 def test_weights_sum_to_span(count):
     grid = Grid(-1.5, 2.5, count)
     assert grid.weights.sum() == pytest.approx(4.0, rel=1e-12)
-
-
-# --- resample ---------------------------------------------------------------
-
-
-def test_resample_linear_midpoint():
-    f = GridFunction(Grid(0.0, 1.0, 2), np.array([0.0, 1.0]))
-    out = resample(f, Grid(0.5, 1.0, 2))
-    assert out.values[0] == pytest.approx(0.5)
-
-
-def test_resample_identity_on_same_grid():
-    grid = Grid(0.0, 1.0, 9)
-    f = GridFunction(grid, np.arange(9, dtype=float))
-    out = resample(f, grid)
-    np.testing.assert_array_equal(out.values, f.values)
-
-
-def test_resample_outside_support_is_zero():
-    f = GridFunction(Grid(0.0, 1.0, 2), np.array([1.0, 1.0]))
-    out = resample(f, Grid(-2.0, 0.5, 6))
-    assert out.values[0] == 0.0
-    assert abs(out.values[-1] - 1.0) < 1e-15
-
-
-def test_resample_rejects_empty_overlap():
-    f = GridFunction(Grid(0.0, 1.0, 5), np.ones(5))
-    with pytest.raises(DataError):
-        resample(f, Grid(2.0, 3.0, 5))
-
-
-def test_resample_roundtrip_preserves_piecewise_linear():
-    coarse = Grid(0.0, 4.0, 9)
-    f = GridFunction(coarse, np.abs(coarse.nodes - 2.0) + 1j * coarse.nodes)
-    fine = Grid(0.0, 4.0, 17)  # contains every coarse node
-    back = resample(resample(f, fine), coarse)
-    np.testing.assert_allclose(back.values, f.values, rtol=0, atol=1e-12)

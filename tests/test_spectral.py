@@ -61,6 +61,10 @@ def test_flat_parameter_validation():
         flat_spectrum(K_GRID, 3.0, 1.0)
     with pytest.raises(ValueError):
         flat_spectrum(K_GRID, -1.0, 3.0)
+    with pytest.raises(ValueError, match="k > 0"):
+        flat_spectrum(Grid(-1.0, 3.0, 64), 1.0, 2.0)
+    with pytest.raises(ValueError, match="outside the grid"):
+        flat_spectrum(Grid(0.5, 3.0, 64), 4.0, 5.0)
 
 
 def test_reference_scale_defaults_to_mean_momentum(gauss):

@@ -13,7 +13,6 @@ from covwave.windowing import (
     apply_window,
     boost_window,
     invariant_ratio,
-    translate_window,
 )
 
 LN2 = np.log(2.0)
@@ -92,14 +91,6 @@ def test_boost_window_first_kind_is_inert():
 def test_boost_window_zero_rapidity():
     win = Window(1.0, 2.0, "second")
     assert boost_window(win, Boost(0.0)) == win
-
-
-def test_translate_window():
-    win = Window(1.0, 2.0, "first")
-    out = translate_window(win, 0.5)
-    assert out == Window(1.5, 2.0, "first")
-    with pytest.raises(ValueError):
-        translate_window(win, np.nan)
 
 
 def test_invariant_ratio_values():
