@@ -12,13 +12,13 @@ rapidity:
     covwave sweep      --config run.ini --eta 0,0.5,1
     covwave check      --config run.ini
 
-Config keys are read against one table, so a misspelt key is a violation;
-the grids, the window and the spectrum come from the library's own
-constructors, whose errors are the other violations.  ``check`` validates
-the configuration, prints every violation it finds, and never touches the
-filesystem.  Exit codes: 0 success, 2 usage or configuration error (an
-output path that cannot be written included), 3 numeric precondition
-failure in otherwise valid input.
+Config keys, and the flags as the keys they override, are read against one
+table, so a misspelt key is a violation; the grids, the window and the
+spectrum come from the library's own constructors, whose errors are the
+other violations.  ``check`` validates the configuration, prints every
+violation it finds, and never touches the filesystem.  Exit codes: 0
+success, 2 usage or configuration error (an output path that cannot be
+written included), 3 numeric precondition failure in otherwise valid input.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ from .spectral import (
     gaussian_spectrum,
     mean_momentum,
     norm_squared,
-    spectrum_from_samples,
     synthesize,
 )
 from .windowing import Window, apply_window, boost_window, invariant_ratio
@@ -73,6 +72,15 @@ _RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 _COMMANDS = ("boost", "window", "photon", "synthesize", "entropy", "sweep", "check")
 
+
+def _parse_eta_list(text: str) -> tuple[float, ...]:
+    """At least one comma-separated finite rapidity, e.g. '0, 0.5, 1.0'."""
+    etas = tuple(float(part) for part in text.split(",") if part.strip())
+    if not etas or not all(map(math.isfinite, etas)):
+        raise ValueError(text)
+    return etas
+
+
 # every key a config may hold: the parser of its value, and the value it
 # takes when left out (None where the key has no default).  A section or key
 # that is not listed here is a violation.
@@ -90,7 +98,7 @@ _KEYS = {
     ("window", "kind"): (str, "second"),
     ("window", "lower"): (float, None),
     ("window", "width"): (float, None),
-    ("boosts", "eta"): (str, "0.0"),
+    ("boosts", "eta"): (_parse_eta_list, (0.0,)),
     ("output", "u_lower"): (float, -40.0),
     ("output", "u_upper"): (float, 40.0),
     ("output", "u_count"): (int, 4096),
@@ -101,6 +109,7 @@ _KEYS = {
     ("output", "max_edge_leakage"): (float, None),
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
+_TYPE_NAMES[_parse_eta_list] = "a list of finite rapidities"
 
 # the factory of each parametric family, and the [spectral] keys of its
 # two parameters
@@ -127,36 +136,6 @@ class RunConfig:
     photon_bridge: bool
     signals_dir: Path
     max_edge_leakage: float | None
-
-
-def _parse_eta_list(text: str) -> tuple[float, ...]:
-    """Comma-separated rapidities, e.g. '0, 0.5, 1.0'."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("rapidity list is empty")
-    etas = []
-    for part in parts:
-        try:
-            value = float(part)
-        except ValueError:
-            raise ValueError(f"bad rapidity {part!r}") from None
-        if not np.isfinite(value):
-            raise ValueError(f"rapidity must be finite, got {part}")
-        etas.append(value)
-    return tuple(etas)
-
-
-def _parse_window_spec(text: str) -> Window:
-    """Window given as 'kind,lower,width', e.g. 'second,4.5,1.0'."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"window spec must be kind,lower,width, got {text!r}")
-    kind = parts[0]
-    try:
-        lower, width = float(parts[1]), float(parts[2])
-    except ValueError:
-        raise ValueError(f"bad window numbers in {text!r}") from None
-    return Window(lower, width, kind)
 
 
 def _boost_problem(k_grid: Grid, eta: float) -> str | None:
@@ -236,18 +215,28 @@ def _build_config(
 ) -> tuple[RunConfig | None, list[str]]:
     """Build the run from the config plus flag overrides, collecting every problem.
 
-    The grids, the window and the spectrum come from the library's own
-    constructors, which check their inputs: the message of each one that
-    raises is a violation.  Only the rules that involve more than one of
-    them, or the command, are checked here.
+    Each flag is written into cp as the raw value of the key it overrides,
+    so that one reader types and checks config and flags alike.  The grids,
+    the window and the spectrum come from the library's own constructors,
+    which check their inputs: the message of each one that raises is a
+    violation.  Only the rules that involve more than one of them, or the
+    command, are checked here.
     """
-    values, problems = _read_keys(cp)
     flags = {
         ("spectral", "grid_count"): args.grid_n,
         ("boosts", "eta"): args.eta,
         ("output", "report"): args.out,
+        ("output", "emit_signals"): "true" if args.emit_signals else None,
     }
-    values.update((key, flag) for key, flag in flags.items() if flag is not None)
+    if args.window is not None:
+        # kind,lower,width: a part left out is empty, which its key rejects,
+        # and a part past the third stays in the width
+        spec = [part.strip() for part in args.window.split(",", 2)] + ["", ""]
+        flags.update(zip([("window", key) for key in ("kind", "lower", "width")], spec))
+    for (section, key), raw in flags.items():
+        if raw is not None:
+            cp.read_dict({section: {key: raw}})
+    values, problems = _read_keys(cp)
 
     def get(section: str, key: str):
         return values.get((section, key), _KEYS[section, key][1])
@@ -278,16 +267,15 @@ def _build_config(
     (family,) = need("spectral", "family")
     scale = get("spectral", "reference_scale")
     photon_bridge = get("output", "photon_bridge")
-    k_grid = spectrum = None
+    k_grid = spectrum = read = None
     if family == "samples":
+        read = ("path",)
         (raw_path,) = need("spectral", "path")
         sample_path = None if raw_path is None else base_dir / raw_path
         data = attempt(f"[spectral] cannot read {raw_path!r}:", read_spectrum, sample_path)
         if data is not None:
             k_grid = data.grid
-            spectrum = attempt(
-                "[spectral]", spectrum_from_samples, k_grid, data.values, reference_scale=scale
-            )
+            spectrum = attempt("[spectral]", SpectralFunction, data, reference_scale=scale)
             # photon-side commands need k > 0 over the whole grid, which the
             # gaussian and flat factories demand of every grid
             if (photon_bridge or args.command in ("photon", "sweep")) and k_grid.lower <= 0.0:
@@ -298,17 +286,20 @@ def _build_config(
         bounds = need("spectral", "grid_lower", "grid_upper")
         k_grid = attempt("[spectral]", Grid, *bounds, get("spectral", "grid_count"))
         build, keys = _FACTORIES[family]
+        read = ("grid_lower", "grid_upper", "grid_count", *keys)
         parameters = need("spectral", *keys)
         spectrum = attempt("[spectral]", build, k_grid, *parameters, reference_scale=scale)
     elif family is not None:
         families = (*_FACTORIES, "samples")
         problems.append(f"[spectral] family must be one of {families}, got {family!r}")
+    if read is not None:  # a key that the family ignores must not pass silently
+        for section, key in values:
+            if section == "spectral" and key not in ("family", "reference_scale", *read):
+                problems.append(f"[spectral] {key} is not read by family {family!r}")
 
-    # --- window section / flag --------------------------------------------
+    # --- window section ----------------------------------------------------
     window: Window | None = None
-    if args.window is not None:
-        window = attempt("--window:", _parse_window_spec, args.window)
-    elif cp.has_section("window"):
+    if cp.has_section("window"):
         edges = need("window", "lower", "width")
         window = attempt("[window]", Window, *edges, get("window", "kind"))
     if window is not None and k_grid is not None:
@@ -320,15 +311,15 @@ def _build_config(
     if args.command in ("window", "entropy") and window is None:
         problems.append(f"the {args.command} command needs a [window] section or --window")
 
-    # --- boosts section / flag ---------------------------------------------
-    etas = attempt("rapidity list:", _parse_eta_list, get("boosts", "eta")) or ()
+    # --- boosts section -----------------------------------------------------
+    etas = get("boosts", "eta")
     if k_grid is not None:
         for eta in etas:
             problem = _boost_problem(k_grid, eta)
             if problem is not None:
                 problems.append(f"rapidity {eta}: {problem}")
 
-    # --- output section / flags ---------------------------------------------
+    # --- output section -----------------------------------------------------
     u_grid = attempt(
         "[output]",
         Grid,
@@ -360,7 +351,7 @@ def _build_config(
         etas=etas,
         u_grid=u_grid,
         report_path=report_path,
-        emit_signals=args.emit_signals or get("output", "emit_signals"),
+        emit_signals=get("output", "emit_signals"),
         photon_bridge=photon_bridge,
         signals_dir=signals_dir,
         max_edge_leakage=max_edge_leakage,
@@ -472,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--window", help="window as kind,lower,width; overrides [window]"
         )
         cmd.add_argument(
-            "--grid-n", type=int, help="override the spectral grid point count"
+            "--grid-n", help="grid point count, overrides [spectral] grid_count"
         )
         cmd.add_argument("--out", help="report path, overrides [output] report")
         cmd.add_argument(

@@ -108,14 +108,15 @@ def affine_inverse(m: AffineMap) -> AffineMap:
 
 
 def affine_image(f: GridFunction, m: AffineMap) -> GridFunction:
-    """Carry samples along the map: node x becomes node m(x), values kept.
+    """Carry samples along the map: node x becomes node m(x), samples and
+    support shared with f.
 
     This realises f'(x') = f(x) with x' = m(x); the grid stays uniform
     because the map is affine.
     """
     lower = affine_apply(m, f.grid.lower)
     upper = affine_apply(m, f.grid.upper)
-    return GridFunction(Grid(lower, upper, f.grid.count), f.values.copy())
+    return GridFunction(Grid(lower, upper, f.grid.count), f.inner, f.support)
 
 
 def wavelet_form(f: GridFunction, m: AffineMap) -> GridFunction:
@@ -126,20 +127,17 @@ def wavelet_form(f: GridFunction, m: AffineMap) -> GridFunction:
     """
     bare = affine_image(f, m)
     factor = float(np.exp(-0.5 * m.rapidity))
-    return GridFunction(bare.grid, factor * bare.values)
+    return GridFunction(bare.grid, factor * bare.inner, bare.support)
 
 
 def boost_spectral(g: SpectralFunction, boost: Boost) -> SpectralFunction:
     """Boosted spectrum g'(k') = g(exp(-eta) k') on the grid scaled by exp(eta).
 
-    Sample values are reused verbatim, support included; only the grid
-    bounds change.  The reference scale is left alone, so the multiplier
-    pair picks up the boost through the mean momentum.
+    The boosted spectrum shares the read-only samples and the support of g;
+    only the grid bounds change.  The reference scale is left alone, so the
+    multiplier pair picks up the boost through the mean momentum.
     """
-    lo, hi = g.data.support
-    data = GridFunction.on_support(
-        g.grid.scaled(boost.scale), lo, hi, g.data.values[lo:hi].copy()
-    )
+    data = GridFunction(g.grid.scaled(boost.scale), g.data.inner, g.data.support)
     return SpectralFunction(data, g.reference_scale)
 
 

@@ -44,12 +44,11 @@ class ProbabilityDensity:
     data: GridFunction
 
     def __post_init__(self) -> None:
-        lo, hi = self.data.support
-        v = self.data.values[lo:hi]
+        v = self.data.inner
         if np.iscomplexobj(v) and np.any(v.imag != 0.0):
             raise ValueError("a probability density must be real valued")
         if np.any(v.real < 0.0):
-            first = lo + int(np.flatnonzero(v.real < 0.0)[0])
+            first = self.data.support[0] + int(np.flatnonzero(v.real < 0.0)[0])
             raise ValueError(f"negative density value at index {first}")
         total = integrate(self.data).real
         if abs(total - 1.0) > _NORMALISATION_TOL:
@@ -83,9 +82,7 @@ def _normalised(raw: GridFunction, what: str) -> ProbabilityDensity:
     total = integrate(raw).real
     if total <= 0.0:
         raise DataError(f"{what} has zero norm; no density can be formed")
-    lo, hi = raw.support
-    density = GridFunction.on_support(raw.grid, lo, hi, raw.values[lo:hi] / total)
-    return ProbabilityDensity(density)
+    return ProbabilityDensity(GridFunction(raw.grid, raw.inner / total, raw.support))
 
 
 def density_from_spectral(g: SpectralFunction) -> ProbabilityDensity:
@@ -95,8 +92,7 @@ def density_from_spectral(g: SpectralFunction) -> ProbabilityDensity:
 
 def entropy(rho: ProbabilityDensity) -> float:
     """S = - integral rho ln rho dk with the 0 ln 0 := 0 convention."""
-    lo, hi = rho.data.support
-    v = rho.values[lo:hi]
+    v = rho.data.inner.real
     if np.any(v < 0.0):
         raise ValueError("entropy needs a nonnegative density")
     # v ln v, with ln 1 = 0 standing in at the zero nodes for 0 ln 0 := 0;
@@ -104,7 +100,7 @@ def entropy(rho: ProbabilityDensity) -> float:
     integrand = np.where(v > 0.0, v, 1.0)
     np.log(integrand, out=integrand)
     integrand *= v
-    return -integrate(GridFunction.on_support(rho.grid, lo, hi, integrand)).real
+    return -integrate(GridFunction(rho.grid, integrand, rho.data.support)).real
 
 
 def boost_density(rho: ProbabilityDensity, boost: Boost) -> ProbabilityDensity:
@@ -116,8 +112,7 @@ def boost_density(rho: ProbabilityDensity, boost: Boost) -> ProbabilityDensity:
     quadrature level.
     """
     s = boost.scale
-    lo, hi = rho.data.support
-    data = GridFunction.on_support(rho.grid.scaled(s), lo, hi, rho.values[lo:hi] / s)
+    data = GridFunction(rho.grid.scaled(s), rho.data.inner.real / s, rho.data.support)
     return ProbabilityDensity(data)
 
 

@@ -7,7 +7,7 @@ so real integrands (densities, moments, entropy) are summed as reals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,63 +64,52 @@ class Grid:
         return Grid(factor * self.lower, factor * self.upper, self.count)
 
 
-def _samples(values, count: int, first_node: int = 0) -> np.ndarray:
-    """values as a float64 or complex128 array of ``count`` finite samples,
-    the first of them at node index ``first_node``."""
-    values = np.asarray(values)
-    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
-    values = values.astype(dtype, copy=False)
-    if values.shape != (count,):
-        raise ValueError(f"expected {count} samples, got shape {values.shape}")
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = first_node + int(np.argmin(finite))
-        raise ValueError(f"non-finite sample at index {first}")
-    return values
-
-
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Samples attached to a grid, one value per node.
+    """Samples attached to a grid, exactly 0 outside a range of its nodes.
 
-    Real input is stored as float64 and complex input as complex128.  Every
-    sample is checked to be finite here, once, so consumers need not rescan.
-
-    ``support`` is a half-open node-index range [lo, hi) outside which every
-    sample is exactly 0.  The plain constructor sets the whole grid;
-    ``on_support`` builds samples that are zero outside a narrower range,
-    and quadrature and the transforms that keep zeros touch only that range.
+    ``support`` is a half-open node-index range [lo, hi), the whole grid
+    when left out, and ``inner`` holds the samples at nodes lo..hi-1; the
+    zeros outside are not stored.  Real input is stored as float64 and
+    complex input as complex128.  Every sample is checked to be finite here,
+    once, so consumers need not rescan, and ``inner`` is read-only, so a
+    transform that keeps the samples (a boost, a window, an affine map)
+    shares them instead of copying.  Quadrature and those transforms touch
+    only the support.
     """
 
     grid: Grid
-    values: np.ndarray
-    support: tuple[int, int] = field(init=False)
+    inner: np.ndarray
+    support: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _samples(self.values, self.grid.count))
-        object.__setattr__(self, "support", (0, self.grid.count))
+        lo, hi = (0, self.grid.count) if self.support is None else self.support
+        if not 0 <= lo <= hi <= self.grid.count:
+            raise ValueError(f"support [{lo}, {hi}) is not a node range of {self.grid.count} nodes")
+        inner = np.asarray(self.inner)
+        inner = inner.astype(np.complex128 if np.iscomplexobj(inner) else np.float64, copy=False)
+        if inner.shape != (hi - lo,):
+            raise ValueError(f"expected {hi - lo} samples, got shape {inner.shape}")
+        finite = np.isfinite(inner)
+        if not finite.all():
+            raise ValueError(f"non-finite sample at index {lo + int(np.argmin(finite))}")
+        # an array that has the dtype already is taken without a copy, so
+        # it is the caller's array that becomes read-only
+        inner.flags.writeable = False
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "support", (lo, hi))
 
-    @classmethod
-    def on_support(cls, grid: Grid, lo: int, hi: int, inner: np.ndarray) -> "GridFunction":
-        """Samples ``inner`` at nodes lo..hi-1 and exactly 0 at every other node.
-
-        Only ``inner`` is checked for finiteness; the zeros are filled in
-        here, so the support always matches the values.  When [lo, hi) is
-        the whole grid, ``inner`` itself becomes the values array.
-        """
-        if not 0 <= lo <= hi <= grid.count:
-            raise ValueError(f"support [{lo}, {hi}) is not a node range of {grid.count} nodes")
-        inner = _samples(inner, hi - lo, lo)
-        if hi - lo == grid.count:
-            values = inner
-        else:
-            values = np.zeros(grid.count, dtype=inner.dtype)
-            values[lo:hi] = inner
-        f = object.__new__(cls)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "values", values)
-        object.__setattr__(f, "support", (lo, hi))
-        return f
+    @cached_property
+    def values(self) -> np.ndarray:
+        """One read-only sample per grid node, zeros included: ``inner``
+        itself on a whole-grid support, else a zero-padded array made on
+        first read."""
+        lo, hi = self.support
+        if hi - lo == self.grid.count:
+            return self.inner
+        values = np.pad(self.inner, (lo, self.grid.count - hi))
+        values.flags.writeable = False
+        return values
 
 
 def integrate(f: GridFunction) -> complex:
@@ -134,7 +123,7 @@ def integrate(f: GridFunction) -> complex:
     whether it is stored real or complex.
     """
     lo, hi = f.support
-    w, v = f.grid.weights[lo:hi], f.values[lo:hi]
+    w, v = f.grid.weights[lo:hi], f.inner
     if np.iscomplexobj(v):
         return complex(w @ v.real.copy(), w @ v.imag.copy())
     return complex(w @ v)

@@ -62,12 +62,12 @@ def to_photon(g: SpectralFunction, p: float) -> PhotonAmplitude:
     if not (np.isfinite(p) and p > 0.0):
         raise DataError(f"photon map needs p > 0, got {p}")
     nodes = g.grid.nodes
-    supported = np.abs(g.data.values) > 0.0
-    bad = supported & (nodes <= 0.0)
-    if bad.any():
-        k0 = nodes[int(np.flatnonzero(bad)[0])]
-        raise DataError(f"spectrum has support at k = {k0} <= 0; photon map undefined")
     if g.grid.lower <= 0.0:
+        lo, hi = g.data.support
+        bad = (np.abs(g.data.inner) > 0.0) & (nodes[lo:hi] <= 0.0)
+        if bad.any():
+            k0 = nodes[lo + int(np.flatnonzero(bad)[0])]
+            raise DataError(f"spectrum has support at k = {k0} <= 0; photon map undefined")
         raise DataError(
             f"photon map needs a positive-momentum grid, lower bound is {g.grid.lower}"
         )
@@ -95,7 +95,7 @@ def to_spectral(
 def boost_photon(a: PhotonAmplitude, boost: Boost) -> PhotonAmplitude:
     """Boosted amplitude on the exp(eta)-scaled grid, values reused, and the
     momentum tag scaled to exp(eta) p."""
-    data = GridFunction(a.grid.scaled(boost.scale), a.data.values.copy())
+    data = GridFunction(a.grid.scaled(boost.scale), a.data.inner, a.data.support)
     return PhotonAmplitude(data, boost.scale * a.mean_momentum)
 
 

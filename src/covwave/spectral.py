@@ -73,11 +73,10 @@ class SpectralFunction:
 
 def _intensity(data: GridFunction) -> GridFunction:
     """|data|**2 as real samples with data's support."""
-    lo, hi = data.support
-    v = data.values[lo:hi]
+    v = data.inner
     # for real samples np.square equals np.abs(v)**2 bit for bit, in one pass
     inner = np.abs(v) ** 2 if np.iscomplexobj(v) else np.square(v)
-    return GridFunction.on_support(data.grid, lo, hi, inner)
+    return GridFunction(data.grid, inner, data.support)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +165,9 @@ def _moments(dens: GridFunction) -> tuple[float, float]:
     """(integral |g|**2 dk, integral k |g|**2 dk) by trapezoid quadrature,
     from the intensity |g|**2 and over its support."""
     lo, hi = dens.support
-    grid = dens.grid
     n2 = integrate(dens).real
-    moment = grid.nodes[lo:hi] * dens.values[lo:hi]
-    first = integrate(GridFunction.on_support(grid, lo, hi, moment)).real
+    moment = dens.grid.nodes[lo:hi] * dens.inner
+    first = integrate(GridFunction(dens.grid, moment, dens.support)).real
     return n2, first
 
 

@@ -46,7 +46,8 @@ def apply_window(g: SpectralFunction, win: Window) -> SpectralFunction:
     """Zero the spectrum outside [win.lower, win.upper]; grid is unchanged.
 
     Both endpoints are kept (closed interval).  The result's support is the
-    range of kept nodes, so later passes over it cost O(kept nodes).  Raises
+    range of kept nodes and its samples a view of the input's, so later
+    passes over it cost O(kept nodes) and nothing is copied.  Raises
     DataError when the window and the spectral grid do not overlap at all.
     """
     grid = g.grid
@@ -58,10 +59,10 @@ def apply_window(g: SpectralFunction, win: Window) -> SpectralFunction:
     # the nodes are sorted, so the kept ones form the index range [lo, hi),
     # narrowed to the input's own support
     nodes = grid.nodes
-    lo, hi = g.data.support
-    lo = max(lo, int(np.searchsorted(nodes, win.lower, "left")))
-    hi = max(lo, min(hi, int(np.searchsorted(nodes, win.upper, "right"))))
-    data = GridFunction.on_support(grid, lo, hi, g.data.values[lo:hi])
+    first, end = g.data.support
+    lo = max(first, int(np.searchsorted(nodes, win.lower, "left")))
+    hi = max(lo, min(end, int(np.searchsorted(nodes, win.upper, "right"))))
+    data = GridFunction(grid, g.data.inner[lo - first : hi - first], (lo, hi))
     return SpectralFunction(data, g.reference_scale)
 
 

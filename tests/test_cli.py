@@ -339,6 +339,23 @@ def test_negative_eta_list_needs_equals_form(tmp_path):
     assert [r["eta"] for r in rows] == [-1.5, 0.5]
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--window=second,4.5", "[window] width is not a number: ''"),
+        ("--window=second,4.5,1.0,2", "[window] width is not a number: '1.0,2'"),
+        ("--window=third,4.5,1.0", "[window] window kind must be 'first' or 'second'"),
+        ("--grid-n=x", "[spectral] grid_count is not an integer: 'x'"),
+        ("--eta=0,abc", "[boosts] eta is not a list of finite rapidities: '0,abc'"),
+        ("--eta=0,nan", "[boosts] eta is not a list of finite rapidities: '0,nan'"),
+    ],
+)
+def test_flags_are_read_as_the_keys_they_override(tmp_path, capsys, flag, message):
+    cfg = write_config(tmp_path)
+    assert run_cli(["check", "--config", cfg, flag]) == 2
+    assert capsys.readouterr().out.startswith(f"violation: {message}")
+
+
 def test_window_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "report.csv"
@@ -367,6 +384,29 @@ eta = 0.0, 0.4
     assert run_cli(["boost", "--config", cfg, "--out", str(out)]) == 0
     rows = read_report(out)
     assert rows[1]["p"] == pytest.approx(np.exp(0.4) * rows[0]["p"], rel=1e-10)
+
+
+def test_keys_the_family_does_not_read_are_violations(tmp_path, capsys):
+    # a samples spectrum takes its grid from the file, so --grid-n (which
+    # sets [spectral] grid_count) would be ignored, as would a center
+    grid = Grid(0.5, 10.0, 257)
+    write_spectrum(tmp_path / "input.csv", GridFunction(grid, np.exp(-((grid.nodes - 3.0) ** 2))))
+    text = "[spectral]\nfamily = samples\npath = input.csv\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "report.csv"
+    assert run_cli(["boost", "--config", cfg, "--out", str(out), "--grid-n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "grid_count is not read by family 'samples'" in err
+    assert not out.exists()
+    cfg = write_config(tmp_path, text + "center = 3.0\n")
+    assert run_cli(["check", "--config", cfg, "--grid-n", "1"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "violation: [spectral] center is not read by family 'samples'",
+        "violation: [spectral] grid_count is not read by family 'samples'",
+    ]
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("[window]", "path = input.csv\n\n[window]"))
+    assert run_cli(["check", "--config", cfg]) == 2
+    assert "[spectral] path is not read by family 'gaussian'" in capsys.readouterr().out
 
 
 def test_missing_sample_file_is_config_error(tmp_path):

@@ -68,8 +68,12 @@ def test_map_rejects_nonpositive_momentum():
 def test_map_rejects_support_at_nonpositive_k():
     grid = Grid(-1.0, 3.0, 201)
     g = spectrum_from_samples(grid, np.ones(201))
-    with pytest.raises(DataError, match="k = "):
+    with pytest.raises(DataError, match="k = -1.0 "):
         to_photon(g, 2.0)
+    # a windowed spectrum names the first node of its own support
+    cut = apply_window(g, Window(-0.5, 1.0))
+    with pytest.raises(DataError, match=f"k = {cut.grid.nodes[cut.data.support[0]]} "):
+        to_photon(cut, 2.0)
 
 
 def test_map_rejects_grid_reaching_nonpositive_k_even_if_zero_there():

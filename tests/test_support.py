@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from covwave.covariance import Boost, boost_spectral
+from covwave.covariance import AffineMap, Boost, affine_image, boost_spectral
 from covwave.entropy import (
     ProbabilityDensity,
     boost_density,
@@ -13,6 +13,7 @@ from covwave.entropy import (
     entropy,
 )
 from covwave.numerics import DataError, Grid, GridFunction, integrate
+from covwave.photon import boost_photon, to_photon
 from covwave.spectral import mean_momentum, norm_squared, spectrum_from_samples
 from covwave.windowing import Window, apply_window, boost_window
 
@@ -160,30 +161,54 @@ def test_full_support_integral_is_the_plain_dot(count, seed, complex_values):
     else:
         expected = complex(w @ v)
     assert integrate(f) == expected  # bit for bit
-    whole = GridFunction.on_support(grid, 0, count, f.values)
+    whole = GridFunction(grid, f.inner, (0, count))
     assert whole.values is f.values  # no zero fill, no copy
     assert integrate(whole) == expected
 
 
-def test_on_support_fills_zeros_and_checks_only_the_inner_samples():
+def test_support_pads_zeros_and_checks_only_the_inner_samples():
     grid = Grid(0.0, 1.0, 6)
-    f = GridFunction.on_support(grid, 2, 4, [3.0, 4.0])
+    f = GridFunction(grid, [3.0, 4.0], (2, 4))
     assert f.support == (2, 4)
+    np.testing.assert_array_equal(f.inner, [3.0, 4.0])
     np.testing.assert_array_equal(f.values, [0.0, 0.0, 3.0, 4.0, 0.0, 0.0])
     assert f.values.dtype == np.float64
-    assert GridFunction.on_support(grid, 1, 2, [1j]).values.dtype == np.complex128
-    assert GridFunction.on_support(grid, 3, 3, []).values.tolist() == [0.0] * 6
+    assert GridFunction(grid, [1j], (1, 2)).values.dtype == np.complex128
+    assert GridFunction(grid, [], (3, 3)).values.tolist() == [0.0] * 6
     with pytest.raises(ValueError, match="non-finite sample at index 3"):
-        GridFunction.on_support(grid, 2, 4, [3.0, np.nan])
+        GridFunction(grid, [3.0, np.nan], (2, 4))
     with pytest.raises(ValueError, match="expected 2 samples"):
-        GridFunction.on_support(grid, 2, 4, [1.0, 2.0, 3.0])
+        GridFunction(grid, [1.0, 2.0, 3.0], (2, 4))
     for lo, hi in [(-1, 2), (4, 3), (0, 7)]:
         with pytest.raises(ValueError, match="not a node range"):
-            GridFunction.on_support(grid, lo, hi, np.ones(max(hi - lo, 0)))
+            GridFunction(grid, np.ones(max(hi - lo, 0)), (lo, hi))
 
 
 def test_negative_density_is_reported_at_its_grid_index():
     grid = Grid(0.0, 1.0, 11)
-    data = GridFunction.on_support(grid, 4, 7, [2.0, -1.0, 1.0])
+    data = GridFunction(grid, [2.0, -1.0, 1.0], (4, 7))
     with pytest.raises(ValueError, match="negative density value at index 5"):
         ProbabilityDensity(data)
+
+
+def test_samples_are_read_only_and_shared_by_the_transforms():
+    grid = Grid(1.0, 3.0, 9)
+    source = np.linspace(1.0, 2.0, 9)
+    g = spectrum_from_samples(grid, source)
+    cut = apply_window(g, Window(1.5, 1.0))
+    assert cut.data.support == (2, 7)
+    # the array handed in is taken, not copied, so it is frozen as well
+    for samples in (source, g.data.inner, cut.data.inner, cut.data.values):
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0] = 0.0
+
+    boost = Boost(0.5)
+    a = to_photon(g, mean_momentum(g))
+    assert np.shares_memory(cut.data.inner, g.data.inner)
+    for result, origin in [
+        (boost_spectral(cut, boost).data, cut.data),
+        (boost_photon(a, boost).data, a.data),
+        (affine_image(cut.data, AffineMap(0.5, 1.0, "second")), cut.data),
+    ]:
+        assert np.shares_memory(result.inner, origin.inner)
+        assert result.support == origin.support
