@@ -19,6 +19,7 @@ from .entropy import (
     density_from_spectral,
     entropy,
     entropy_difference,
+    spectrum_entropy,
 )
 from .io import read_spectrum, write_signal, write_spectrum
 from .numerics import DataError, Grid, GridFunction, integrate
@@ -84,6 +85,7 @@ __all__ = [
     "multiplier_pair",
     "norm_squared",
     "read_spectrum",
+    "spectrum_entropy",
     "spectrum_from_samples",
     "synthesize",
     "synthesize_photon_field",

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .covariance import Boost, boost_spectral
-from .entropy import density_from_spectral, entropy
+from .entropy import spectrum_entropy
 from .io import read_spectrum, write_signal
 from .numerics import DataError, Grid, GridFunction, integrate
 from .photon import invariant_norm, synthesize_photon_field, to_photon
@@ -411,10 +411,8 @@ def _run(cfg: RunConfig, command: str) -> list[dict[str, float]]:
                 write_signal(cfg.signals_dir / name, sig.data)
 
         if do_entropy:
-            # each density is dropped once its entropy is taken, so that a
-            # frame never holds two of them at once
-            s_full = entropy(density_from_spectral(g_frame))
-            s_win = entropy(density_from_spectral(g_used))
+            s_full = spectrum_entropy(g_frame)
+            s_win = spectrum_entropy(g_used)
             row["s_analytic"] = s_full
             row["s_windowed"] = s_win
             row["delta_s"] = s_full - s_win

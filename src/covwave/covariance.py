@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import GridFunction, Grid
-from .spectral import SpectralFunction
+from .numerics import GridFunction, Grid, _restrict
+from .spectral import SpectralFunction, _shared
 
 __all__ = [
     "Boost",
@@ -116,7 +116,7 @@ def affine_image(f: GridFunction, m: AffineMap) -> GridFunction:
     """
     lower = affine_apply(m, f.grid.lower)
     upper = affine_apply(m, f.grid.upper)
-    return GridFunction(Grid(lower, upper, f.grid.count), f.inner, f.support)
+    return _restrict(f, Grid(lower, upper, f.grid.count), f.support)
 
 
 def wavelet_form(f: GridFunction, m: AffineMap) -> GridFunction:
@@ -134,11 +134,14 @@ def boost_spectral(g: SpectralFunction, boost: Boost) -> SpectralFunction:
     """Boosted spectrum g'(k') = g(exp(-eta) k') on the grid scaled by exp(eta).
 
     The boosted spectrum shares the read-only samples and the support of g;
-    only the grid bounds change.  The reference scale is left alone, so the
-    multiplier pair picks up the boost through the mean momentum.
+    only the grid bounds change.  It shares the intensity and the entropy
+    integrand too, as views of the arrays of the spectrum that owns the
+    samples, so that a sweep forms them once however many frames it
+    visits; every quadrature over them still runs on the boosted grid.  The
+    reference scale is left alone, so the multiplier pair picks up the boost
+    through the mean momentum.
     """
-    data = GridFunction(g.grid.scaled(boost.scale), g.data.inner, g.data.support)
-    return SpectralFunction(data, g.reference_scale)
+    return _shared(g, g.grid.scaled(boost.scale), g.data.support)
 
 
 def multiplier_pair(g: SpectralFunction, p: float) -> tuple[float, float]:

@@ -12,16 +12,27 @@ analytic-minus-windowed gap
     Delta S = S[rho_analytic] - S[rho_windowed]
 
 is a Lorentz invariant of the spectrum-window pair.
+
+The entropy of the density I / N of an intensity I = |g|**2, with
+N = integral I dk, is taken from I itself:
+
+    S[I / N] = ln N - (1/N) integral I ln I dk.
+
+The identity holds exactly at the quadrature level, as N is the same
+trapezoid sum as integral I dk.  The array I ln I is one per spectrum: a
+boost leaves every sample unchanged, so every frame and every window cut
+reads a view of it and needs only two dot products on its own grid.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import Boost, boost_spectral
 from .numerics import DataError, Grid, GridFunction, integrate
-from .spectral import SpectralFunction
+from .spectral import SpectralFunction, _x_log_x, norm_squared
 from .windowing import Window, apply_window, boost_window
 
 __all__ = [
@@ -29,6 +40,7 @@ __all__ = [
     "EntropyReport",
     "density_from_spectral",
     "entropy",
+    "spectrum_entropy",
     "boost_density",
     "entropy_difference",
 ]
@@ -78,16 +90,25 @@ class EntropyReport:
             raise ValueError("delta_s must equal s_analytic - s_windowed")
 
 
-def _normalised(raw: GridFunction, what: str) -> ProbabilityDensity:
-    total = integrate(raw).real
+def _norm(g: SpectralFunction) -> float:
+    """integral |g|**2 dk, which must be positive for a density to exist."""
+    total = norm_squared(g)
     if total <= 0.0:
-        raise DataError(f"{what} has zero norm; no density can be formed")
-    return ProbabilityDensity(GridFunction(raw.grid, raw.inner / total, raw.support))
+        raise DataError("spectrum has zero norm; no density can be formed")
+    return total
 
 
 def density_from_spectral(g: SpectralFunction) -> ProbabilityDensity:
     """rho(k) proportional to |g(k)|**2, normalised on g's grid."""
-    return _normalised(g.intensity, "spectrum")
+    intensity = g.intensity
+    inner = intensity.inner / _norm(g)
+    return ProbabilityDensity(GridFunction(intensity.grid, inner, intensity.support))
+
+
+def _entropy(x_log_x: GridFunction, norm: float) -> float:
+    """ln N - (1/N) integral x ln x dk, the entropy of x / N for N the
+    integral of x; the one entropy quadrature."""
+    return math.log(norm) - integrate(x_log_x).real / norm
 
 
 def entropy(rho: ProbabilityDensity) -> float:
@@ -95,12 +116,23 @@ def entropy(rho: ProbabilityDensity) -> float:
     v = rho.data.inner.real
     if np.any(v < 0.0):
         raise ValueError("entropy needs a nonnegative density")
-    # v ln v, with ln 1 = 0 standing in at the zero nodes for 0 ln 0 := 0;
-    # built in one array, as this is the largest temporary of a frame
-    integrand = np.where(v > 0.0, v, 1.0)
-    np.log(integrand, out=integrand)
-    integrand *= v
-    return -integrate(GridFunction(rho.grid, integrand, rho.data.support)).real
+    return _entropy(GridFunction(rho.grid, _x_log_x(v), rho.data.support), 1.0)
+
+
+def spectrum_entropy(g: SpectralFunction) -> float:
+    """S of the density |g|**2 / N on g's grid, N = integral |g|**2 dk.
+
+    Equal to entropy(density_from_spectral(g)) up to rounding, but formed
+    as ln N - (1/N) integral I ln I dk from g's intensity I, with the
+    I ln I array shared by every boosted and windowed spectrum of the same
+    samples.  That array is built from I scaled by a power of two, which is
+    exact and cannot overflow; the entropy of I / N does not depend on
+    such a scale.  The two terms cancel to about |ln J| eps, J the scaled
+    intensity, so a window far below the spectrum's peak keeps fewer
+    digits than one near it.
+    """
+    terms, scale = g._entropy_integrand
+    return _entropy(terms, scale * _norm(g))
 
 
 def boost_density(rho: ProbabilityDensity, boost: Boost) -> ProbabilityDensity:
@@ -124,16 +156,13 @@ def entropy_difference(
     """Analytic and windowed entropies of g in the frame reached by boost.
 
     The spectrum and the window are transported to the target frame first
-    (first-kind windows stay put by definition), the two densities are
-    formed there, and both entropies are evaluated in that single frame.
+    (first-kind windows stay put by definition), and both entropies are
+    evaluated in that single frame.
     """
     b = boost if boost is not None else Boost(0.0)
     g_frame = boost_spectral(g, b)
-    win_frame = boost_window(win, b)
-    rho_analytic = density_from_spectral(g_frame)
-    rho_windowed = density_from_spectral(apply_window(g_frame, win_frame))
-    s_analytic = entropy(rho_analytic)
-    s_windowed = entropy(rho_windowed)
+    s_analytic = spectrum_entropy(g_frame)
+    s_windowed = spectrum_entropy(apply_window(g_frame, boost_window(win, b)))
     return EntropyReport(
         rapidity=b.rapidity,
         s_analytic=s_analytic,

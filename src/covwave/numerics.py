@@ -50,6 +50,26 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.count)
 
+    def node_range(self, lo: int, hi: int) -> np.ndarray:
+        """Nodes lo..hi-1, equal bit for bit to ``self.nodes[lo:hi]`` but built
+        for that range alone and not cached.
+
+        numpy's linspace forms node i as i * step + lower, with i / (count - 1)
+        * (upper - lower) instead when the step underflows to 0, and sets the
+        last node to upper; the same operations are done here.
+        """
+        nodes = np.arange(lo, hi, dtype=np.float64)
+        step = self.spacing
+        if step == 0.0:
+            nodes /= self.count - 1
+            nodes *= self.upper - self.lower
+        else:
+            nodes *= step
+        nodes += self.lower
+        if hi == self.count and hi > lo:
+            nodes[-1] = self.upper
+        return nodes
+
     @cached_property
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weights: h at interior nodes, h/2 at the ends."""
@@ -74,8 +94,8 @@ class GridFunction:
     complex input as complex128.  Every sample is checked to be finite here,
     once, so consumers need not rescan, and ``inner`` is read-only, so a
     transform that keeps the samples (a boost, a window, an affine map)
-    shares them instead of copying.  Quadrature and those transforms touch
-    only the support.
+    shares them instead of copying, and does not check them again.
+    Quadrature and those transforms touch only the support.
     """
 
     grid: Grid
@@ -110,6 +130,19 @@ class GridFunction:
         values = np.pad(self.inner, (lo, self.grid.count - hi))
         values.flags.writeable = False
         return values
+
+
+def _restrict(f: GridFunction, grid: Grid, support: tuple[int, int]) -> GridFunction:
+    """f's samples on a support inside f's own, carried to a grid of the same
+    count: a read-only view of f's samples, which were checked finite when f
+    was made and are not scanned again."""
+    lo, hi = support
+    first = f.support[0]
+    view = object.__new__(GridFunction)
+    object.__setattr__(view, "grid", grid)
+    object.__setattr__(view, "inner", f.inner[lo - first : hi - first])
+    object.__setattr__(view, "support", (lo, hi))
+    return view
 
 
 def integrate(f: GridFunction) -> complex:

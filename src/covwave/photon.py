@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import Boost
-from .numerics import DataError, Grid, GridFunction, integrate
+from .numerics import DataError, Grid, GridFunction, _restrict, integrate
 from .spectral import SpectralFunction, WaveletSignal, _oscillatory_sum
 
 __all__ = [
@@ -95,7 +95,7 @@ def to_spectral(
 def boost_photon(a: PhotonAmplitude, boost: Boost) -> PhotonAmplitude:
     """Boosted amplitude on the exp(eta)-scaled grid, values reused, and the
     momentum tag scaled to exp(eta) p."""
-    data = GridFunction(a.grid.scaled(boost.scale), a.data.inner, a.data.support)
+    data = _restrict(a.data, a.grid.scaled(boost.scale), a.data.support)
     return PhotonAmplitude(data, boost.scale * a.mean_momentum)
 
 

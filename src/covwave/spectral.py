@@ -12,13 +12,14 @@ boosts; see the covariance module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import DataError, Grid, GridFunction, integrate
+from .numerics import DataError, Grid, GridFunction, _restrict, integrate
 
 __all__ = [
     "SpectralFunction",
@@ -45,6 +46,10 @@ class SpectralFunction:
     data: GridFunction
     reference_scale: float | None = None
 
+    # the spectrum whose samples these are, set by boost_spectral and
+    # apply_window; None for a spectrum that owns its samples
+    _source = None
+
     def __post_init__(self) -> None:
         if self.reference_scale is None:
             # from an intensity that is not cached, so it is freed on return:
@@ -64,11 +69,44 @@ class SpectralFunction:
     def intensity(self) -> GridFunction:
         """|g(k)|**2 as real samples on the spectrum's grid.
 
-        Computed once per spectrum: every quadrature of the intensity (norm,
-        mean momentum, density) reads this one array.  A boosted or windowed
-        spectrum is a new object and computes its own from its own samples.
+        Computed once, by the spectrum that owns the samples: a boost leaves
+        every sample unchanged, so a boosted or windowed spectrum reads a
+        view of its source's array, cut to its own support and placed on its
+        own grid.  Every quadrature of the intensity (norm, mean momentum,
+        density, entropy) reads this one array.
         """
+        if self._source is not None:
+            return _restrict(self._source.intensity, self.grid, self.data.support)
         return _intensity(self.data)
+
+    @cached_property
+    def _entropy_integrand(self) -> tuple[GridFunction, float]:
+        """(J ln J, c) with J = c |g|**2 and c = 2**-e, e the exponent of the
+        peak intensity, 0 ln 0 taken as 0.
+
+        The power of two scales exactly and keeps J below 1, so J ln J cannot
+        overflow; the entropy of a density J / integral J dk is that of
+        |g|**2 / N.  Shared like the intensity.
+        """
+        if self._source is not None:
+            terms, scale = self._source._entropy_integrand
+            return _restrict(terms, self.grid, self.data.support), scale
+        intensity = self.intensity.inner
+        exponent = int(np.frexp(intensity.max(initial=0.0))[1])
+        scaled = np.ldexp(intensity, -exponent)
+        return (
+            GridFunction(self.grid, _x_log_x(scaled), self.data.support),
+            math.ldexp(1.0, -exponent),
+        )
+
+
+def _shared(g: SpectralFunction, grid: Grid, support: tuple[int, int]) -> SpectralFunction:
+    """g's samples on a support inside g's own, on a grid of the same count,
+    as a spectrum that shares them and reads the intensity and entropy
+    integrand of the spectrum owning them."""
+    frame = SpectralFunction(_restrict(g.data, grid, support), g.reference_scale)
+    object.__setattr__(frame, "_source", g if g._source is None else g._source)
+    return frame
 
 
 def _intensity(data: GridFunction) -> GridFunction:
@@ -77,6 +115,15 @@ def _intensity(data: GridFunction) -> GridFunction:
     # for real samples np.square equals np.abs(v)**2 bit for bit, in one pass
     inner = np.abs(v) ** 2 if np.iscomplexobj(v) else np.square(v)
     return GridFunction(data.grid, inner, data.support)
+
+
+def _x_log_x(v: np.ndarray) -> np.ndarray:
+    """v ln v for v >= 0, with ln 1 = 0 standing in at the zero nodes for
+    0 ln 0 := 0; built in one array, the largest temporary of an entropy."""
+    out = np.where(v > 0.0, v, 1.0)
+    np.log(out, out=out)
+    out *= v
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +164,7 @@ def gaussian_spectrum(
         raise ValueError(
             f"gaussian spectrum needs a grid at k > 0, lower bound is {grid.lower}"
         )
-    values = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
+    values = np.exp(-((grid.node_range(0, grid.count) - center) ** 2) / (2.0 * width**2))
     return SpectralFunction(GridFunction(grid, values), reference_scale)
 
 
@@ -147,7 +194,7 @@ def flat_spectrum(
             f"flat support [{support_lower}, {support_upper}] lies outside "
             f"the grid [{grid.lower}, {grid.upper}]"
         )
-    nodes = grid.nodes
+    nodes = grid.node_range(0, grid.count)
     values = ((nodes >= support_lower) & (nodes <= support_upper)).astype(float)
     return SpectralFunction(GridFunction(grid, values), reference_scale)
 
@@ -166,7 +213,7 @@ def _moments(dens: GridFunction) -> tuple[float, float]:
     from the intensity |g|**2 and over its support."""
     lo, hi = dens.support
     n2 = integrate(dens).real
-    moment = dens.grid.nodes[lo:hi] * dens.inner
+    moment = dens.grid.node_range(lo, hi) * dens.inner
     first = integrate(GridFunction(dens.grid, moment, dens.support)).real
     return n2, first
 

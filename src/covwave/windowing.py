@@ -1,13 +1,14 @@
 """Closed momentum windows and their two transformation behaviours."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import Boost
-from .numerics import DataError, GridFunction
-from .spectral import SpectralFunction
+from .numerics import DataError, Grid
+from .spectral import SpectralFunction, _shared
 
 __all__ = [
     "Window",
@@ -42,13 +43,37 @@ class Window:
         return self.lower + self.width
 
 
+def _nodes_below(grid: Grid, x: float, inclusive: bool) -> int:
+    """How many nodes lie below x (at or below it when inclusive), as
+    np.searchsorted(grid.nodes, x) finds it, without building the nodes.
+
+    The node nearest x is found from the spacing and moved by a node or so
+    until it is exact, as rounding may put a node on the other side of x.
+    """
+    def below(i: int) -> bool:
+        node = grid.node_range(i, i + 1)[0]
+        return node <= x if inclusive else node < x
+
+    guess = (x - grid.lower) / grid.spacing if grid.spacing > 0.0 else 0.0
+    i = math.ceil(min(guess, grid.count)) if guess > 0.0 else 0
+    while i > 0 and not below(i - 1):
+        i -= 1
+    while i < grid.count and below(i):
+        i += 1
+    return i
+
+
 def apply_window(g: SpectralFunction, win: Window) -> SpectralFunction:
     """Zero the spectrum outside [win.lower, win.upper]; grid is unchanged.
 
-    Both endpoints are kept (closed interval).  The result's support is the
-    range of kept nodes and its samples a view of the input's, so later
-    passes over it cost O(kept nodes) and nothing is copied.  Raises
-    DataError when the window and the spectral grid do not overlap at all.
+    Both endpoints are kept (closed interval).  The nodes are sorted, so the
+    kept ones form an index range, found by index arithmetic on the grid's
+    spacing without building the nodes.  The result's support is that range
+    narrowed to the input's own, and its samples, intensity and entropy
+    integrand are views of those of the spectrum owning the samples, so
+    later passes over it cost O(kept nodes) and nothing is copied or
+    recomputed.  Raises DataError when the window and the spectral grid do
+    not overlap at all.
     """
     grid = g.grid
     if win.upper < grid.lower or win.lower > grid.upper:
@@ -56,14 +81,10 @@ def apply_window(g: SpectralFunction, win: Window) -> SpectralFunction:
             f"window [{win.lower}, {win.upper}] misses the spectral "
             f"interval [{grid.lower}, {grid.upper}]"
         )
-    # the nodes are sorted, so the kept ones form the index range [lo, hi),
-    # narrowed to the input's own support
-    nodes = grid.nodes
     first, end = g.data.support
-    lo = max(first, int(np.searchsorted(nodes, win.lower, "left")))
-    hi = max(lo, min(end, int(np.searchsorted(nodes, win.upper, "right"))))
-    data = GridFunction(grid, g.data.inner[lo - first : hi - first], (lo, hi))
-    return SpectralFunction(data, g.reference_scale)
+    lo = max(first, _nodes_below(grid, win.lower, inclusive=False))
+    hi = max(lo, min(end, _nodes_below(grid, win.upper, inclusive=True)))
+    return _shared(g, grid, (lo, hi))
 
 
 def boost_window(win: Window, boost: Boost) -> Window:

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from covwave.cli import _boost_problem, main
-from covwave.io import write_spectrum
+from covwave.covariance import Boost, boost_spectral
+from covwave.entropy import density_from_spectral, entropy
+from covwave.io import read_spectrum, write_spectrum
 from covwave.numerics import Grid, GridFunction
+from covwave.spectral import SpectralFunction
+from covwave.windowing import Window, apply_window, boost_window
 
 BASE_CONFIG = """\
 [spectral]
@@ -219,6 +223,32 @@ def test_overflowing_samples_fail_cleanly(
     assert run_cli(["boost", "--config", cfg]) == run_code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "overflow" in err
+
+
+def test_large_samples_keep_their_entropy(tmp_path):
+    # |g|**2 peaks at 1e306, so I ln I at that scale would overflow: the
+    # entropy integrand is formed from I scaled by a power of two
+    grid = Grid(1.0, 9.0, 801)
+    values = 1e153 * np.exp(-((grid.nodes - 5.0) ** 2) / 0.5)
+    write_spectrum(tmp_path / "input.csv", GridFunction(grid, values))
+    text = (
+        "[spectral]\nfamily = samples\npath = input.csv\n\n"
+        "[window]\nkind = second\nlower = 4.5\nwidth = 1.0\n\n"
+        "[boosts]\neta = -1, 0, 1\n"
+    )
+    out = tmp_path / "report.csv"
+    assert run_cli(["entropy", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    g = SpectralFunction(read_spectrum(tmp_path / "input.csv"))
+    win = Window(4.5, 1.0)
+    for row in read_report(out):
+        boost = Boost(row["eta"])
+        frame = boost_spectral(g, boost)
+        s_full = entropy(density_from_spectral(frame))
+        s_win = entropy(density_from_spectral(apply_window(frame, boost_window(win, boost))))
+        for column, expected in [
+            ("s_analytic", s_full), ("s_windowed", s_win), ("delta_s", s_full - s_win)
+        ]:
+            assert abs(row[column] - expected) <= 1e-14 * abs(expected)
 
 
 def test_success_exit_code(tmp_path):

@@ -139,3 +139,22 @@ def test_gridfunction_names_nonfinite_index():
 def test_weights_sum_to_span(count):
     grid = Grid(-1.5, 2.5, count)
     assert grid.weights.sum() == pytest.approx(4.0, rel=1e-12)
+
+
+@given(
+    count=st.integers(2, 5000),
+    lower=st.floats(-1e3, 1e3),
+    span=st.floats(1e-6, 1e3),
+    rapidity=st.floats(-5.0, 5.0),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_node_range_is_the_linspace_slice(count, lower, span, rapidity, data):
+    grid = Grid(lower, lower + span, count).scaled(float(np.exp(rapidity)))
+    lo = data.draw(st.integers(0, count))
+    hi = data.draw(st.integers(lo, count))
+    nodes = np.linspace(grid.lower, grid.upper, count)
+    part = grid.node_range(lo, hi)
+    assert part.dtype == np.float64
+    assert part.tobytes() == nodes[lo:hi].tobytes()  # bit for bit
+    assert "nodes" not in vars(grid)

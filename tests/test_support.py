@@ -11,10 +11,16 @@ from covwave.entropy import (
     boost_density,
     density_from_spectral,
     entropy,
+    spectrum_entropy,
 )
 from covwave.numerics import DataError, Grid, GridFunction, integrate
 from covwave.photon import boost_photon, to_photon
-from covwave.spectral import mean_momentum, norm_squared, spectrum_from_samples
+from covwave.spectral import (
+    gaussian_spectrum,
+    mean_momentum,
+    norm_squared,
+    spectrum_from_samples,
+)
 from covwave.windowing import Window, apply_window, boost_window
 
 
@@ -123,6 +129,30 @@ def test_windowed_quadratures_match_full_arrays(case):
     assert abs(entropy(dens) + w @ v_log_v) <= 1e-13 * (w @ np.abs(v_log_v))
 
 
+@given(windowed_case(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_entropy_from_the_intensity_matches_the_density_path(case, complex_values, seed):
+    g, win = case
+    assume(not (win.upper < g.grid.lower or win.lower > g.grid.upper))
+    assume(kept_range(g.grid.nodes, win) is not None)
+    if complex_values:
+        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, g.grid.count)
+        g = spectrum_from_samples(g.grid, g.data.values * np.exp(1j * phases))
+    k, w = g.grid.nodes, g.grid.weights
+    for spectrum, kept in [
+        (g, np.ones(k.size, dtype=bool)),
+        (apply_window(g, win), (k >= win.lower) & (k <= win.upper)),
+    ]:
+        # the density quadrature over every node, zeros included, in plain numpy
+        intensity = np.where(kept, np.abs(g.data.values) ** 2, 0.0)
+        rho = intensity / (w @ intensity)
+        v_log_v = rho * np.log(np.where(rho > 0.0, rho, 1.0))
+        bound = 1e-13 * (w @ np.abs(v_log_v))
+        s = spectrum_entropy(spectrum)
+        assert abs(s + w @ v_log_v) <= bound
+        assert abs(s - entropy(density_from_spectral(spectrum))) <= bound
+
+
 @given(windowed_case())
 @settings(max_examples=100, deadline=None)
 def test_boosts_keep_the_support(case):
@@ -212,3 +242,31 @@ def test_samples_are_read_only_and_shared_by_the_transforms():
     ]:
         assert np.shares_memory(result.inner, origin.inner)
         assert result.support == origin.support
+
+
+def test_frames_share_the_intensity_and_entropy_integrand_of_their_source():
+    grid = Grid(1.0, 3.0, 9)
+    g = spectrum_from_samples(grid, np.linspace(1.0, 2.0, 9) * (1.0 + 1.0j))
+    frame = boost_spectral(g, Boost(0.5))
+    cut = apply_window(frame, Window(1.5 * frame.grid.lower, frame.grid.lower))
+    twice = boost_spectral(cut, Boost(-0.2))
+    for view in (frame, cut, twice):
+        assert view.intensity.grid == view.grid
+        assert view.intensity.support == view.data.support
+        assert np.shares_memory(view.intensity.inner, g.intensity.inner)
+        terms, scale = view._entropy_integrand
+        assert terms.grid == view.grid and terms.support == view.data.support
+        assert np.shares_memory(terms.inner, g._entropy_integrand[0].inner)
+        assert scale == g._entropy_integrand[1]
+        np.testing.assert_array_equal(view.intensity.values, np.abs(view.data.values) ** 2)
+
+
+def test_a_windowed_frame_builds_no_full_length_nodes():
+    g = gaussian_spectrum(Grid(0.1, 20.0, 4001), 5.0, 0.5)
+    assert "nodes" not in vars(g.grid)  # the factory builds them uncached
+    boost = Boost(0.3)
+    cut = apply_window(boost_spectral(g, boost), boost_window(Window(4.5, 1.0), boost))
+    mean_momentum(cut)
+    norm_squared(cut)
+    spectrum_entropy(cut)
+    assert "nodes" not in vars(cut.grid)
